@@ -2,26 +2,31 @@
 //! shard router.
 //!
 //! [`CatalogClient`] speaks the `docs/PROTOCOL.md` wire protocol to one
-//! [`crate::server::CatalogServer`] and mirrors the [`crate::Catalog`] query
-//! API. [`ShardRouter`] composes several clients into one logical
+//! [`crate::server::CatalogServer`] and mirrors the [`crate::Catalog`]
+//! query API. [`ShardRouter`] composes several clients into one logical
 //! catalog: each shard owns a set of quadkey prefixes ([`TileScope`]),
-//! the router fans a query out to the shards whose tiles it could
-//! touch, and merges the returned per-tile partials with the *same
-//! fold* a local query uses — so the routed answer is bit-identical to
-//! running the query on a single in-process catalog holding all the
-//! data (pinned by `tests/served_equivalence.rs`).
+//! the router sends a query to the shards whose tiles it could touch
+//! and merges their answers with the *same fold* a local query uses —
+//! so the routed answer is bit-identical to running the query on a
+//! single in-process catalog holding all the data (pinned by
+//! `tests/served_equivalence.rs`). Both run every query kind through one
+//! generic path ([`CatalogClient::query`] / [`CatalogClient::submit`],
+//! [`ShardRouter::routed`]) over the kind's definition in
+//! [`crate::query`]; the typed `query_<kind>` methods are one-line calls
+//! into it.
 //!
-//! The client speaks protocol v2: every request frame carries a fresh
-//! request id, and the server may answer in-flight requests **out of
-//! order**. The `submit_*` methods expose that directly — each returns
-//! a typed [`Pending`] handle, many can be outstanding on one
-//! connection, and [`CatalogClient::wait`] collects them in any order
-//! (frames for other requests are demultiplexed into their slots as
-//! they arrive). The plain query methods are a sync facade over the
-//! same machinery (submit immediately followed by wait), so a
-//! non-pipelining caller sees exactly the v1 one-exchange-at-a-time
-//! behaviour. Pipelined answers are bit-identical to in-process
-//! queries (pinned by `tests/pipelined_equivalence.rs`).
+//! The client speaks wire v3 (`SIRQ`/`SIRS` v3): every request frame
+//! carries a fresh request id, and the server may answer in-flight
+//! requests **out of order**. The `submit*` methods expose that
+//! directly — each returns a typed [`Pending`] handle, many can be
+//! outstanding on one connection, and [`CatalogClient::wait`] collects
+//! them in any order (frames for other requests are demultiplexed into
+//! their slots as they arrive). The plain query methods are a sync
+//! facade over the same machinery (submit immediately followed by
+//! wait), so a non-pipelining caller sees exactly the
+//! one-exchange-at-a-time behaviour. Pipelined answers are
+//! bit-identical to in-process queries (pinned by
+//! `tests/pipelined_equivalence.rs`).
 //!
 //! Both layers degrade gracefully instead of hanging (pinned by
 //! `tests/chaos.rs`):
@@ -44,9 +49,9 @@
 //!   half-open probes — either lazily after a cooldown or eagerly via a
 //!   background [`crate::wire::Request::Ping`] prober thread
 //!   ([`RouterConfig::probe_interval`]). When *no* replica for an owned
-//!   scope is reachable, routed queries return a typed [`Routed`] value
-//!   naming the missing scopes; the strict methods turn the same
-//!   situation into [`CatalogError::Degraded`].
+//!   scope is reachable, [`ShardRouter::routed`] returns a typed
+//!   [`Routed`] value naming the missing scopes; the strict methods turn
+//!   the same situation into [`CatalogError::Degraded`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -56,15 +61,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
-use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
+use seaice::freeboard::FreeboardProduct;
 use seaice_obs::{next_trace_id, Counter, Histogram, MetricRegistry, Trace, TraceLog, TraceReport};
 
 use crate::fault::splitmix64;
-use crate::grid::{GridConfig, MapRect, TileScope, TimeKey, TimeRange};
-use crate::server::ServerStats;
-use crate::store::{
-    CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary, TilePartial,
+use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
+use crate::query::{
+    scalar, unexpected, Answer, BboxQuery, CellsQuery, Output, PointQuery, Query, RectQuery,
+    TimeRangeQuery,
 };
+use crate::server::ServerStats;
+use crate::store::{CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary};
 use crate::wire::{self, Request, Response};
 use crate::CatalogError;
 use seaice_products::BeamThickness;
@@ -80,10 +87,11 @@ const READ_TICK: Duration = Duration::from_millis(25);
 
 /// Bounded-retry schedule: exponential backoff with seeded jitter.
 ///
-/// Retrying is *always* safe against a catalog server — every RPC is
-/// read-only — so the only judgement in this policy is how long to keep
-/// trying. The jitter is seeded (not wall-clock random) so a fault
-/// schedule replays identically under the chaos harness.
+/// Retrying is *always* safe against a catalog server — queries are
+/// read-only and served writes are idempotent per granule/beam — so the
+/// only judgement in this policy is how long to keep trying. The jitter
+/// is seeded (not wall-clock random) so a fault schedule replays
+/// identically under the chaos harness.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per request, including the first (`>= 1`).
@@ -225,6 +233,16 @@ impl Deadline {
     fn expired(&self) -> bool {
         self.at.is_some_and(|at| Instant::now() >= at)
     }
+
+    /// Why a response stream ended early: the deadline, if it expired,
+    /// else the server hanging up.
+    fn stream_ended(&self) -> CatalogError {
+        if self.expired() {
+            CatalogError::Timeout { after: self.budget }
+        } else {
+            CatalogError::Protocol("server closed the connection mid-exchange".into())
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +281,7 @@ impl Mux {
 }
 
 /// A typed handle to one pipelined request submitted with a
-/// `submit_*` method. Redeem it with [`CatalogClient::wait`] — in any
+/// `submit*` method. Redeem it with [`CatalogClient::wait`] — in any
 /// order relative to other outstanding handles. Dropping a `Pending`
 /// without waiting leaks its slot until the connection turns over
 /// (harmless, but the response is read and discarded), hence
@@ -271,123 +289,37 @@ impl Mux {
 #[must_use = "a pipelined request completes only when waited on"]
 pub struct Pending<T> {
     id: u64,
-    finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+    finish: Finish<T>,
 }
 
-/// Verifies the completing frame of a streamed exchange is a `Done`
-/// trailer and hands back the batches plus the advertised count.
-fn finish_stream(
+/// The completing step of a request: turns its batch frames and its
+/// completing frame into the typed answer.
+type Finish<T> = fn(Vec<Response>, Response) -> Result<T, CatalogError>;
+
+/// Decodes and folds the answer of query `Q`.
+fn finish_query<Q: Query>(
     batches: Vec<Response>,
     done: Response,
-) -> Result<(Vec<Response>, u64), CatalogError> {
-    match done {
-        Response::Done { n_records } => Ok((batches, n_records)),
-        other => Err(unexpected(&other)),
-    }
-}
-
-/// Checks a streamed record count against the `Done` trailer.
-fn check_stream_count(got: usize, advertised: u64) -> Result<(), CatalogError> {
-    if got as u64 != advertised {
-        return Err(CatalogError::Protocol(format!(
-            "stream advertised {advertised} records but carried {got}"
-        )));
-    }
-    Ok(())
-}
-
-fn finish_tile_partials(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<TilePartial>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::TileBatch(mut partials) => records.append(&mut partials),
-            other => return Err(unexpected(&other)),
-        }
-    }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
-}
-
-fn finish_summary(batches: Vec<Response>, done: Response) -> Result<QuerySummary, CatalogError> {
-    Ok(QuerySummary::from_partials(finish_tile_partials(
-        batches, done,
-    )?))
-}
-
-fn finish_layer_records(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<(TimeKey, TilePartial)>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::LayerBatch(mut layers) => records.append(&mut layers),
-            other => return Err(unexpected(&other)),
-        }
-    }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
-}
-
-fn finish_layers(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-    Ok(fold_layer_records(finish_layer_records(batches, done)?))
-}
-
-fn finish_cells(batches: Vec<Response>, done: Response) -> Result<Vec<CellSummary>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::CellBatch(mut cells) => records.append(&mut cells),
-            other => return Err(unexpected(&other)),
-        }
-    }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
-}
-
-/// For scalar exchanges: no batch frame may precede the answer.
-fn finish_scalar(batches: Vec<Response>, done: Response) -> Result<Response, CatalogError> {
-    if let Some(stray) = batches.into_iter().next() {
-        return Err(unexpected(&stray));
-    }
-    Ok(done)
-}
-
-fn finish_point(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Option<CellSummary>, CatalogError> {
-    match finish_scalar(batches, done)? {
-        Response::Point(cell) => Ok(cell),
-        other => Err(unexpected(&other)),
-    }
+) -> Result<Output<Q>, CatalogError> {
+    Ok(Q::Answer::decode(batches, done)?.fold())
 }
 
 fn finish_pong(batches: Vec<Response>, done: Response) -> Result<ServerStats, CatalogError> {
-    match finish_scalar(batches, done)? {
+    match scalar(batches, done)? {
         Response::Pong(stats) => Ok(stats),
         other => Err(unexpected(&other)),
     }
 }
 
 fn finish_metrics(batches: Vec<Response>, done: Response) -> Result<String, CatalogError> {
-    match finish_scalar(batches, done)? {
+    match scalar(batches, done)? {
         Response::Metrics(text) => Ok(text),
         other => Err(unexpected(&other)),
     }
 }
 
 fn finish_ingested(batches: Vec<Response>, done: Response) -> Result<IngestReport, CatalogError> {
-    match finish_scalar(batches, done)? {
+    match scalar(batches, done)? {
         Response::Ingested(report) => Ok(report),
         other => Err(unexpected(&other)),
     }
@@ -395,7 +327,7 @@ fn finish_ingested(batches: Vec<Response>, done: Response) -> Result<IngestRepor
 
 /// A client connection to one catalog server.
 ///
-/// The plain query methods run one exchange at a time; the `submit_*` /
+/// The plain query methods run one exchange at a time; the `submit*` /
 /// [`CatalogClient::wait`] pair pipelines many requests on this one
 /// connection (the server answers them concurrently and possibly out
 /// of order). The handle itself is `&mut self` — open one client per
@@ -477,10 +409,7 @@ impl CatalogClient {
     /// Health probe: the server's serving counters, via
     /// [`Request::Ping`].
     pub fn ping(&mut self) -> Result<ServerStats, CatalogError> {
-        match self.exchange_scalar(&Request::Ping)? {
-            Response::Pong(stats) => Ok(stats),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(&Request::Ping, finish_pong)
     }
 
     /// Full metric snapshot of the server, via
@@ -490,10 +419,7 @@ impl CatalogClient {
     /// [`CatalogError::Remote`] with `ERR_BAD_REQUEST` — the connection
     /// stays usable.
     pub fn introspect(&mut self) -> Result<String, CatalogError> {
-        match self.exchange_scalar(&Request::Introspect)? {
-            Response::Metrics(text) => Ok(text),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(&Request::Introspect, finish_metrics)
     }
 
     /// The metric registry this client records into.
@@ -516,9 +442,10 @@ impl CatalogClient {
 
     /// True for failures where the exchange may not have completed and
     /// the connection can't be trusted: worth a reconnect + retry
-    /// (read-only RPCs make that always safe). [`CatalogError::Remote`]
-    /// is *not* transport-class — the server answered; the error is
-    /// deterministic and the connection is at a clean frame boundary.
+    /// (always safe: queries are read-only and served writes are
+    /// idempotent). [`CatalogError::Remote`] is *not* transport-class —
+    /// the server answered; the error is deterministic and the
+    /// connection is at a clean frame boundary.
     fn is_transport(e: &CatalogError) -> bool {
         matches!(
             e,
@@ -672,26 +599,19 @@ impl CatalogClient {
         // Handshake on the local stream; it is only stored (making the
         // connection visible to submits) once the handshake succeeds.
         let deadline = self.deadline();
-        let handshake = (|| {
-            wire::write_message(&mut stream, &Request::Manifest)?;
-            match Self::read_response(&mut stream, deadline)? {
-                Response::Manifest(grid) => Ok(grid),
-                other => Err(unexpected(&other)),
-            }
-        })();
-        match handshake {
-            Ok(grid) => {
-                if self.grid.is_some_and(|prev| prev != grid) {
-                    return Err(CatalogError::Protocol(
-                        "server grid changed across a reconnect".into(),
-                    ));
-                }
-                self.grid = Some(grid);
-                self.stream = Some(stream);
-                Ok(())
-            }
-            Err(e) => Err(e),
+        wire::write_message(&mut stream, &Request::Manifest)?;
+        let grid = match Self::read_response(&mut stream, deadline)? {
+            Response::Manifest(grid) => grid,
+            other => return Err(unexpected(&other)),
+        };
+        if self.grid.is_some_and(|prev| prev != grid) {
+            return Err(CatalogError::Protocol(
+                "server grid changed across a reconnect".into(),
+            ));
         }
+        self.grid = Some(grid);
+        self.stream = Some(stream);
+        Ok(())
     }
 
     /// Reads one response frame (ignoring its mux ids — used only for
@@ -709,17 +629,7 @@ impl CatalogClient {
                     response => Ok(response),
                 }
             }
-            None => {
-                if deadline.expired() {
-                    Err(CatalogError::Timeout {
-                        after: deadline.budget,
-                    })
-                } else {
-                    Err(CatalogError::Protocol(
-                        "server closed the connection mid-exchange".into(),
-                    ))
-                }
-            }
+            None => Err(deadline.stream_ended()),
         }
     }
 
@@ -734,7 +644,7 @@ impl CatalogClient {
         &mut self,
         request: &Request,
         trace_id: u64,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+        finish: Finish<T>,
     ) -> Result<Pending<T>, CatalogError> {
         self.ensure_connected()?;
         let id = self.mux.alloc_id();
@@ -760,7 +670,7 @@ impl CatalogClient {
     fn submit_traced<T>(
         &mut self,
         request: &Request,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+        finish: Finish<T>,
     ) -> Result<Pending<T>, CatalogError> {
         let trace_id = if self.config.trace {
             next_trace_id()
@@ -833,19 +743,13 @@ impl CatalogClient {
                     }
                 }
                 Ok(None) => {
-                    let expired = deadline.expired();
-                    self.poison_connection(if expired {
+                    let e = deadline.stream_ended();
+                    self.poison_connection(if matches!(e, CatalogError::Timeout { .. }) {
                         "the request deadline expired with pipelined requests in flight"
                     } else {
                         "the server closed the connection with pipelined requests in flight"
                     });
-                    return Err(if expired {
-                        CatalogError::Timeout {
-                            after: deadline.budget,
-                        }
-                    } else {
-                        CatalogError::Protocol("server closed the connection mid-exchange".into())
-                    });
+                    return Err(e);
                 }
                 Err(e) => {
                     self.poison_connection(
@@ -884,153 +788,38 @@ impl CatalogClient {
         self.mux.pending.len()
     }
 
-    // -- Scoped partial/record transport --------------------------------
+    // -- Queries ----------------------------------------------------------
 
-    /// Sends `request` and waits for its scalar answer (with deadline,
-    /// reconnect, and retry per the config) — the sync facade over one
-    /// submit + wait.
-    fn exchange_scalar(&mut self, request: &Request) -> Result<Response, CatalogError> {
-        self.with_retry(|client, deadline, trace_id| {
-            let pending = client.submit_with(request, trace_id, finish_scalar)?;
-            client.wait_deadline(pending, deadline)
-        })
-    }
-
-    /// Sends `request` and collects its streamed answer through
-    /// `finish` (with deadline, reconnect, and retry per the config).
-    /// A retry re-runs the whole exchange from scratch (partial
-    /// streams are discarded).
-    fn exchange_stream<T>(
-        &mut self,
-        request: &Request,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
-    ) -> Result<T, CatalogError> {
+    /// Sends `request` and completes it through `finish` (with
+    /// deadline, reconnect, and retry per the config) — the sync facade
+    /// over one submit + wait. A retry re-runs the whole exchange from
+    /// scratch (partial streams are discarded).
+    fn exchange<T>(&mut self, request: &Request, finish: Finish<T>) -> Result<T, CatalogError> {
         self.with_retry(|client, deadline, trace_id| {
             let pending = client.submit_with(request, trace_id, finish)?;
             client.wait_deadline(pending, deadline)
         })
     }
 
-    /// Scoped per-tile partials of a rect query (the shard-router
-    /// transport behind [`CatalogClient::query_rect`]).
-    pub fn query_rect_partials(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<TilePartial>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryRect {
-                rect: *rect,
-                time,
-                scope: scope.clone(),
-            },
-            finish_tile_partials,
-        )
+    /// Served [`crate::Catalog::query`] — same fold, same bits.
+    pub fn query<Q: Query>(&mut self, query: &Q) -> Result<Output<Q>, CatalogError> {
+        let answer = self.exchange(&query.request(TileScope::all()), Q::Answer::decode)?;
+        Ok(answer.fold())
     }
 
-    /// Scoped per-tile partials of a bbox query.
-    pub fn query_bbox_partials(
-        &mut self,
-        bbox: &BoundingBox,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<TilePartial>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryBbox {
-                bbox: *bbox,
-                time,
-                scope: scope.clone(),
-            },
-            finish_tile_partials,
-        )
+    /// Pipelined [`CatalogClient::query`]: submits without reading;
+    /// redeem with [`CatalogClient::wait`].
+    pub fn submit<Q: Query>(&mut self, query: &Q) -> Result<Pending<Output<Q>>, CatalogError> {
+        self.submit_traced(&query.request(TileScope::all()), finish_query::<Q>)
     }
 
-    /// Scoped per-layer, per-tile partials of a time-range query.
-    pub fn query_time_range_partials(
-        &mut self,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<(TimeKey, TilePartial)>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryTimeRange {
-                time,
-                scope: scope.clone(),
-            },
-            finish_layer_records,
-        )
-    }
-
-    /// Scoped gridded composite cells.
-    pub fn query_cells_scoped(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryCells {
-                rect: *rect,
-                time,
-                scope: scope.clone(),
-            },
-            finish_cells,
-        )
-    }
-
-    /// Scoped point probe.
-    pub fn query_point_scoped(
-        &mut self,
-        point: GeoPoint,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Option<CellSummary>, CatalogError> {
-        match self.exchange_scalar(&Request::QueryPoint {
-            point,
-            time,
-            scope: scope.clone(),
-        })? {
-            Response::Point(cell) => Ok(cell),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Scoped counters + chronological layer list.
-    pub fn scoped_stats(
-        &mut self,
-        scope: &TileScope,
-    ) -> Result<(CatalogStats, Vec<TimeKey>), CatalogError> {
-        match self.exchange_scalar(&Request::Stats {
-            scope: scope.clone(),
-        })? {
-            Response::Stats { stats, layers } => Ok((stats, layers)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Scoped full-store invariant check; returns tiles checked.
-    pub fn validate_scoped(&mut self, scope: &TileScope) -> Result<usize, CatalogError> {
-        match self.exchange_scalar(&Request::Validate {
-            scope: scope.clone(),
-        })? {
-            Response::Done { n_records } => Ok(n_records as usize),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    // -- The Catalog-mirroring convenience API ---------------------------
-
-    /// Served [`crate::Catalog::query_rect`] — same fold, same bits.
+    /// Served [`crate::Catalog::query_rect`].
     pub fn query_rect(
         &mut self,
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_rect_partials(
-            rect,
-            time,
-            &TileScope::all(),
-        )?))
+        self.query(&RectQuery { rect: *rect, time })
     }
 
     /// Served [`crate::Catalog::query_bbox`].
@@ -1039,11 +828,7 @@ impl CatalogClient {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_bbox_partials(
-            bbox,
-            time,
-            &TileScope::all(),
-        )?))
+        self.query(&BboxQuery { bbox: *bbox, time })
     }
 
     /// Served [`crate::Catalog::query_point`].
@@ -1052,7 +837,7 @@ impl CatalogClient {
         point: GeoPoint,
         time: TimeRange,
     ) -> Result<Option<CellSummary>, CatalogError> {
-        self.query_point_scoped(point, time, &TileScope::all())
+        self.query(&PointQuery { point, time })
     }
 
     /// Served [`crate::Catalog::query_time_range`].
@@ -1060,9 +845,7 @@ impl CatalogClient {
         &mut self,
         time: TimeRange,
     ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        Ok(fold_layer_records(
-            self.query_time_range_partials(time, &TileScope::all())?,
-        ))
+        self.query(&TimeRangeQuery { time })
     }
 
     /// Served [`crate::Catalog::query_cells`].
@@ -1071,7 +854,73 @@ impl CatalogClient {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_scoped(rect, time, &TileScope::all())
+        self.query(&CellsQuery { rect: *rect, time })
+    }
+
+    /// Pipelined [`CatalogClient::query_rect`].
+    pub fn submit_query_rect(
+        &mut self,
+        rect: &MapRect,
+        time: TimeRange,
+    ) -> Result<Pending<QuerySummary>, CatalogError> {
+        self.submit(&RectQuery { rect: *rect, time })
+    }
+
+    /// Pipelined [`CatalogClient::query_point`].
+    pub fn submit_query_point(
+        &mut self,
+        point: GeoPoint,
+        time: TimeRange,
+    ) -> Result<Pending<Option<CellSummary>>, CatalogError> {
+        self.submit(&PointQuery { point, time })
+    }
+
+    /// Pipelined [`CatalogClient::query_time_range`].
+    pub fn submit_query_time_range(
+        &mut self,
+        time: TimeRange,
+    ) -> Result<Pending<Vec<(TimeKey, QuerySummary)>>, CatalogError> {
+        self.submit(&TimeRangeQuery { time })
+    }
+
+    /// Pipelined [`CatalogClient::query_cells`].
+    pub fn submit_query_cells(
+        &mut self,
+        rect: &MapRect,
+        time: TimeRange,
+    ) -> Result<Pending<Vec<CellSummary>>, CatalogError> {
+        self.submit(&CellsQuery { rect: *rect, time })
+    }
+
+    // -- Store-wide RPCs -------------------------------------------------
+
+    /// Scoped counters + chronological layer list.
+    pub fn scoped_stats(
+        &mut self,
+        scope: &TileScope,
+    ) -> Result<(CatalogStats, Vec<TimeKey>), CatalogError> {
+        match self.exchange(
+            &Request::Stats {
+                scope: scope.clone(),
+            },
+            scalar,
+        )? {
+            Response::Stats { stats, layers } => Ok((stats, layers)),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// Scoped full-store invariant check; returns tiles checked.
+    pub fn validate_scoped(&mut self, scope: &TileScope) -> Result<usize, CatalogError> {
+        match self.exchange(
+            &Request::Validate {
+                scope: scope.clone(),
+            },
+            scalar,
+        )? {
+            Response::Done { n_records } => Ok(n_records as usize),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Served [`crate::Catalog::stats`].
@@ -1110,15 +959,15 @@ impl CatalogClient {
         product: &FreeboardProduct,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        match self.exchange_scalar(&Request::IngestSamples {
-            granule_id: granule_id.to_string(),
-            beam: beam_index as u32,
-            mode,
-            product: product.clone(),
-        })? {
-            Response::Ingested(report) => Ok(report),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(
+            &Request::IngestSamples {
+                granule_id: granule_id.to_string(),
+                beam: beam_index as u32,
+                mode,
+                product: product.clone(),
+            },
+            finish_ingested,
+        )
     }
 
     /// Served [`crate::Catalog::ingest_thickness_beam`]: Skip-mode
@@ -1137,95 +986,16 @@ impl CatalogClient {
         beam: &BeamThickness,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        match self.exchange_scalar(&Request::IngestThickness {
-            mode,
-            beam: beam.clone(),
-        })? {
-            Response::Ingested(report) => Ok(report),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(
+            &Request::IngestThickness {
+                mode,
+                beam: beam.clone(),
+            },
+            finish_ingested,
+        )
     }
 
     // -- The pipelined submit API -----------------------------------------
-
-    /// Pipelined [`CatalogClient::query_rect`]: submits without
-    /// reading; redeem with [`CatalogClient::wait`].
-    pub fn submit_query_rect(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Pending<QuerySummary>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryRect {
-                rect: *rect,
-                time,
-                scope: TileScope::all(),
-            },
-            finish_summary,
-        )
-    }
-
-    /// Pipelined [`CatalogClient::query_bbox`].
-    pub fn submit_query_bbox(
-        &mut self,
-        bbox: &BoundingBox,
-        time: TimeRange,
-    ) -> Result<Pending<QuerySummary>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryBbox {
-                bbox: *bbox,
-                time,
-                scope: TileScope::all(),
-            },
-            finish_summary,
-        )
-    }
-
-    /// Pipelined [`CatalogClient::query_point`].
-    pub fn submit_query_point(
-        &mut self,
-        point: GeoPoint,
-        time: TimeRange,
-    ) -> Result<Pending<Option<CellSummary>>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryPoint {
-                point,
-                time,
-                scope: TileScope::all(),
-            },
-            finish_point,
-        )
-    }
-
-    /// Pipelined [`CatalogClient::query_time_range`].
-    pub fn submit_query_time_range(
-        &mut self,
-        time: TimeRange,
-    ) -> Result<Pending<Vec<(TimeKey, QuerySummary)>>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryTimeRange {
-                time,
-                scope: TileScope::all(),
-            },
-            finish_layers,
-        )
-    }
-
-    /// Pipelined [`CatalogClient::query_cells`].
-    pub fn submit_query_cells(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Pending<Vec<CellSummary>>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryCells {
-                rect: *rect,
-                time,
-                scope: TileScope::all(),
-            },
-            finish_cells,
-        )
-    }
 
     /// Pipelined [`CatalogClient::ping`].
     pub fn submit_ping(&mut self) -> Result<Pending<ServerStats>, CatalogError> {
@@ -1257,39 +1027,6 @@ impl CatalogClient {
             finish_ingested,
         )
     }
-
-    /// Pipelined [`CatalogClient::ingest_thickness_beam_with`].
-    pub fn submit_ingest_thickness(
-        &mut self,
-        beam: &BeamThickness,
-        mode: IngestMode,
-    ) -> Result<Pending<IngestReport>, CatalogError> {
-        self.submit_traced(
-            &Request::IngestThickness {
-                mode,
-                beam: beam.clone(),
-            },
-            finish_ingested,
-        )
-    }
-}
-
-fn unexpected(response: &Response) -> CatalogError {
-    CatalogError::Protocol(format!("unexpected response frame: {response:?}"))
-}
-
-/// Groups `(layer, partial)` records by layer and folds each layer with
-/// the canonical summary fold, chronological output — the shared merge
-/// behind local, single-served, and sharded time-range queries.
-fn fold_layer_records(records: Vec<(TimeKey, TilePartial)>) -> Vec<(TimeKey, QuerySummary)> {
-    let mut by_layer: BTreeMap<TimeKey, Vec<TilePartial>> = BTreeMap::new();
-    for (time, partial) in records {
-        by_layer.entry(time).or_default().push(partial);
-    }
-    by_layer
-        .into_iter()
-        .map(|(time, partials)| (time, QuerySummary::from_partials(partials)))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,8 +1282,8 @@ impl<T> Routed<T> {
 /// ([`ShardRouter::connect_replicated`]): queries fail over within the
 /// group, per-replica circuit breakers keep traffic off dead servers,
 /// and an optional background prober pings tripped replicas back into
-/// rotation. The `*_routed` query methods return [`Routed`] partial
-/// answers naming unreachable scopes; the plain methods demand
+/// rotation. [`ShardRouter::routed`] returns [`Routed`] partial answers
+/// naming unreachable scopes; the other query methods demand
 /// completeness and fail with [`CatalogError::Degraded`] otherwise.
 pub struct ShardRouter {
     groups: Vec<Group>,
@@ -1838,22 +1575,8 @@ impl ShardRouter {
         &self.config.client.registry
     }
 
-    /// Breaker state of every replica, grouped by scope in shard-map
-    /// order — observability for operators and the chaos suite.
-    pub fn replica_states(&self) -> Vec<Vec<(String, BreakerState)>> {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.replicas
-                    .iter()
-                    .map(|r| (r.addr.clone(), r.breaker.state()))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Groups owning at least one of `candidates` (indices).
-    fn owners_of(&self, candidates: &[crate::grid::TileId]) -> Vec<usize> {
+    fn owners_of(&self, candidates: &[TileId]) -> Vec<usize> {
         (0..self.groups.len())
             .filter(|&i| candidates.iter().any(|t| self.groups[i].scope.matches(t)))
             .collect()
@@ -1922,23 +1645,6 @@ impl ShardRouter {
         }
     }
 
-    /// Verifies shard answers cover disjoint tiles, then folds.
-    fn merge_partials(per_shard: Vec<Vec<TilePartial>>) -> Result<QuerySummary, CatalogError> {
-        let mut seen: BTreeSet<crate::grid::TileId> = BTreeSet::new();
-        let mut all: Vec<TilePartial> = Vec::new();
-        for partials in per_shard {
-            for p in partials {
-                if !seen.insert(p.tile) {
-                    return Err(CatalogError::Protocol(
-                        "two shards answered for the same tile".into(),
-                    ));
-                }
-                all.push(p);
-            }
-        }
-        Ok(QuerySummary::from_partials(all))
-    }
-
     /// Fans `run` out to the groups in `owners`, collecting per-group
     /// results and the scopes that were unreachable.
     fn fan_out<T>(
@@ -1961,50 +1667,36 @@ impl ShardRouter {
         Ok((results, missing))
     }
 
-    /// Routed [`crate::Catalog::query_rect`] with degradation: merges
-    /// bit-identically over every reachable owner scope and names the
-    /// unreachable ones.
-    pub fn query_rect_routed(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Routed<QuerySummary>, CatalogError> {
-        let candidates = self.grid.tiles_overlapping(rect);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_rect_partials(rect, time, scope))?;
+    /// Routes any [`Query`] with degradation: sends it to every group
+    /// owning a tile it may touch, merges the reachable answers
+    /// bit-identically, and names the unreachable scopes.
+    pub fn routed<Q: Query>(&mut self, query: &Q) -> Result<Routed<Output<Q>>, CatalogError> {
+        let owners = match query.cover(&self.grid) {
+            Some(tiles) => self.owners_of(&tiles),
+            None => (0..self.groups.len()).collect(),
+        };
+        let (parts, missing) = self.fan_out(owners, |c, scope| {
+            c.exchange(&query.request(scope.clone()), Q::Answer::decode)
+        })?;
         Ok(Routed {
-            value: Self::merge_partials(per_shard)?,
+            value: Q::Answer::merge(parts)?.fold(),
             missing,
         })
     }
 
-    /// Routed [`crate::Catalog::query_rect`] — fans out to the shards owning
-    /// candidate tiles and merges bit-identically; every owner scope
-    /// must be reachable.
+    /// Routed [`crate::Catalog::query`]: every owner scope must be
+    /// reachable.
+    pub fn query<Q: Query>(&mut self, query: &Q) -> Result<Output<Q>, CatalogError> {
+        self.routed(query)?.into_complete()
+    }
+
+    /// Routed [`crate::Catalog::query_rect`].
     pub fn query_rect(
         &mut self,
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        self.query_rect_routed(rect, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_bbox`] with degradation.
-    pub fn query_bbox_routed(
-        &mut self,
-        bbox: &BoundingBox,
-        time: TimeRange,
-    ) -> Result<Routed<QuerySummary>, CatalogError> {
-        let cover = self.grid.bbox_cover(bbox);
-        let candidates = self.grid.tiles_overlapping(&cover);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_bbox_partials(bbox, time, scope))?;
-        Ok(Routed {
-            value: Self::merge_partials(per_shard)?,
-            missing,
-        })
+        self.query(&RectQuery { rect: *rect, time })
     }
 
     /// Routed [`crate::Catalog::query_bbox`].
@@ -2013,39 +1705,7 @@ impl ShardRouter {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        self.query_bbox_routed(bbox, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_point`] with degradation — exactly one
-    /// group owns the point's tile, so a degraded answer carries
-    /// `value: None` and names that scope.
-    pub fn query_point_routed(
-        &mut self,
-        point: GeoPoint,
-        time: TimeRange,
-    ) -> Result<Routed<Option<CellSummary>>, CatalogError> {
-        let m = EPSG_3976.forward(point);
-        let complete = |value| Routed {
-            value,
-            missing: Vec::new(),
-        };
-        let Some((tile, _)) = self.grid.locate(m) else {
-            return Ok(complete(None));
-        };
-        let Some(i) = (0..self.groups.len()).find(|&i| self.groups[i].scope.matches(&tile)) else {
-            return Ok(complete(None));
-        };
-        match self.group_call(i, |c, scope| c.query_point_scoped(point, time, scope)) {
-            GroupOutcome::Ok(cell) => Ok(complete(cell)),
-            GroupOutcome::Unreachable => {
-                self.degraded.inc();
-                Ok(Routed {
-                    value: None,
-                    missing: vec![self.groups[i].scope.clone()],
-                })
-            }
-            GroupOutcome::Failed(e) => Err(e),
-        }
+        self.query(&BboxQuery { bbox: *bbox, time })
     }
 
     /// Routed [`crate::Catalog::query_point`] — exactly one shard owns the
@@ -2055,33 +1715,7 @@ impl ShardRouter {
         point: GeoPoint,
         time: TimeRange,
     ) -> Result<Option<CellSummary>, CatalogError> {
-        self.query_point_routed(point, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_time_range`] with degradation.
-    pub fn query_time_range_routed(
-        &mut self,
-        time: TimeRange,
-    ) -> Result<Routed<Vec<(TimeKey, QuerySummary)>>, CatalogError> {
-        let owners: Vec<usize> = (0..self.groups.len()).collect();
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_time_range_partials(time, scope))?;
-        let mut records: Vec<(TimeKey, TilePartial)> = Vec::new();
-        let mut seen: BTreeSet<(TimeKey, crate::grid::TileId)> = BTreeSet::new();
-        for shard_records in per_shard {
-            for (t, p) in shard_records {
-                if !seen.insert((t, p.tile)) {
-                    return Err(CatalogError::Protocol(
-                        "two shards answered for the same layer tile".into(),
-                    ));
-                }
-                records.push((t, p));
-            }
-        }
-        Ok(Routed {
-            value: fold_layer_records(records),
-            missing,
-        })
+        self.query(&PointQuery { point, time })
     }
 
     /// Routed [`crate::Catalog::query_time_range`].
@@ -2089,36 +1723,7 @@ impl ShardRouter {
         &mut self,
         time: TimeRange,
     ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        self.query_time_range_routed(time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_cells`] with degradation — shard
-    /// results concatenate (scopes are spatial, so a tile's layers
-    /// never split) and sort by `(tile, cell)` exactly like the local
-    /// composite.
-    pub fn query_cells_routed(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Routed<Vec<CellSummary>>, CatalogError> {
-        let candidates = self.grid.tiles_overlapping(rect);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_cells_scoped(rect, time, scope))?;
-        let mut cells: Vec<CellSummary> = per_shard.into_iter().flatten().collect();
-        cells.sort_unstable_by_key(|c| (c.tile, c.cell));
-        if cells
-            .windows(2)
-            .any(|w| (w[0].tile, w[0].cell) == (w[1].tile, w[1].cell))
-        {
-            return Err(CatalogError::Protocol(
-                "two shards answered for the same cell".into(),
-            ));
-        }
-        Ok(Routed {
-            value: cells,
-            missing,
-        })
+        self.query(&TimeRangeQuery { time })
     }
 
     /// Routed [`crate::Catalog::query_cells`].
@@ -2127,13 +1732,12 @@ impl ShardRouter {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_routed(rect, time)?.into_complete()
+        self.query(&CellsQuery { rect: *rect, time })
     }
 
-    /// Routed [`crate::Catalog::stats`] with degradation: tile/sample counts
-    /// sum across reachable shards, layer sets union, cache counters
-    /// sum.
-    pub fn stats_routed(&mut self) -> Result<Routed<CatalogStats>, CatalogError> {
+    /// Routed [`crate::Catalog::stats`]: tile/sample counts sum across
+    /// shards, layer sets union, cache counters sum.
+    pub fn stats(&mut self) -> Result<CatalogStats, CatalogError> {
         let owners: Vec<usize> = (0..self.groups.len()).collect();
         let (per_shard, missing) = self.fan_out(owners, |c, scope| c.scoped_stats(scope))?;
         let mut n_tiles = 0usize;
@@ -2150,7 +1754,7 @@ impl ShardRouter {
             cache.evictions += stats.cache.evictions;
             layers.extend(shard_layers);
         }
-        Ok(Routed {
+        Routed {
             value: CatalogStats {
                 n_layers: layers.len(),
                 n_tiles,
@@ -2159,29 +1763,19 @@ impl ShardRouter {
                 cache,
             },
             missing,
-        })
-    }
-
-    /// Routed [`crate::Catalog::stats`]: tile/sample counts sum across shards,
-    /// layer sets union, cache counters sum.
-    pub fn stats(&mut self) -> Result<CatalogStats, CatalogError> {
-        self.stats_routed()?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::validate`] with degradation; the value is
-    /// total tiles checked across reachable shards.
-    pub fn validate_routed(&mut self) -> Result<Routed<usize>, CatalogError> {
-        let owners: Vec<usize> = (0..self.groups.len()).collect();
-        let (per_shard, missing) = self.fan_out(owners, |c, scope| c.validate_scoped(scope))?;
-        Ok(Routed {
-            value: per_shard.into_iter().sum(),
-            missing,
-        })
+        }
+        .into_complete()
     }
 
     /// Routed [`crate::Catalog::validate`]; returns total tiles checked.
     pub fn validate(&mut self) -> Result<usize, CatalogError> {
-        self.validate_routed()?.into_complete()
+        let owners: Vec<usize> = (0..self.groups.len()).collect();
+        let (per_shard, missing) = self.fan_out(owners, |c, scope| c.validate_scoped(scope))?;
+        Routed {
+            value: per_shard.into_iter().sum(),
+            missing,
+        }
+        .into_complete()
     }
 }
 
@@ -2189,22 +1783,17 @@ impl ShardRouter {
 // Shard-partitioned ingest.
 // ---------------------------------------------------------------------------
 
-/// Splits one beam product into per-shard products by the owning scope
-/// of each point's tile: point `i` of the input lands in output `j` iff
-/// `scopes[j]` owns the tile its projected position falls in. Points
-/// outside the grid domain (or outside every scope) are dropped —
-/// exactly the points a direct [`crate::Catalog::ingest_beam`] would count out
-/// of domain. Relative point order is preserved, so per-shard catalogs
-/// ingest the same canonical samples a monolithic catalog would.
-pub fn partition_product(
+/// Splits `points` by the scope owning each point's tile, in order
+/// (see [`partition_product`]).
+fn split_by_scope<P: Copy>(
     grid: &GridConfig,
     scopes: &[TileScope],
-    product: &FreeboardProduct,
-) -> Vec<FreeboardProduct> {
-    let mut outputs: Vec<Vec<FreeboardPoint>> = vec![Vec::new(); scopes.len()];
-    for p in &product.points {
-        let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-        let Some((tile, _)) = grid.locate(m) else {
+    points: &[P],
+    position: impl Fn(&P) -> GeoPoint,
+) -> Vec<Vec<P>> {
+    let mut outputs: Vec<Vec<P>> = vec![Vec::new(); scopes.len()];
+    for p in points {
+        let Some((tile, _)) = grid.locate(EPSG_3976.forward(position(p))) else {
             continue;
         };
         if let Some(j) = scopes.iter().position(|s| s.matches(&tile)) {
@@ -2212,12 +1801,29 @@ pub fn partition_product(
         }
     }
     outputs
-        .into_iter()
-        .map(|points| FreeboardProduct {
-            name: product.name.clone(),
-            points,
-        })
-        .collect()
+}
+
+/// Splits one beam product into per-shard products by the owning scope
+/// of each point's tile: point `i` of the input lands in output `j` iff
+/// `scopes[j]` owns the tile its projected position falls in. Points
+/// outside the grid domain (or outside every scope) are dropped —
+/// exactly the points a direct [`crate::Catalog::ingest_beam`] would
+/// count out of domain. Relative point order is preserved, so per-shard
+/// catalogs ingest the same canonical samples a monolithic catalog would.
+pub fn partition_product(
+    grid: &GridConfig,
+    scopes: &[TileScope],
+    product: &FreeboardProduct,
+) -> Vec<FreeboardProduct> {
+    split_by_scope(grid, scopes, &product.points, |p| {
+        GeoPoint::new(p.lat, p.lon)
+    })
+    .into_iter()
+    .map(|points| FreeboardProduct {
+        name: product.name.clone(),
+        points,
+    })
+    .collect()
 }
 
 /// [`partition_product`] over a fleet run's per-beam products: returns
@@ -2240,29 +1846,17 @@ pub fn partition_products(
     out
 }
 
-/// [`partition_product`] for thickness-enriched beams: splits one
-/// [`seaice_products::BeamThickness`] into per-shard beams by the owning
-/// scope of each point's tile, preserving the snow/thickness fields
-/// verbatim so per-shard [`crate::Catalog::ingest_thickness_beam`] calls
-/// land the same canonical samples a monolithic catalog would.
+/// [`partition_product`] for thickness-enriched beams: the snow and
+/// thickness fields travel verbatim, for per-shard
+/// [`crate::Catalog::ingest_thickness_beam`] calls.
 pub fn partition_thickness(
     grid: &GridConfig,
     scopes: &[TileScope],
-    beam: &seaice_products::BeamThickness,
-) -> Vec<seaice_products::BeamThickness> {
-    let mut outputs: Vec<Vec<seaice_products::ProductPoint>> = vec![Vec::new(); scopes.len()];
-    for p in &beam.points {
-        let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-        let Some((tile, _)) = grid.locate(m) else {
-            continue;
-        };
-        if let Some(j) = scopes.iter().position(|s| s.matches(&tile)) {
-            outputs[j].push(*p);
-        }
-    }
-    outputs
+    beam: &BeamThickness,
+) -> Vec<BeamThickness> {
+    split_by_scope(grid, scopes, &beam.points, |p| GeoPoint::new(p.lat, p.lon))
         .into_iter()
-        .map(|points| seaice_products::BeamThickness {
+        .map(|points| BeamThickness {
             granule_id: beam.granule_id.clone(),
             beam: beam.beam,
             snow_model: beam.snow_model.clone(),

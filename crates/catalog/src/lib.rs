@@ -27,6 +27,10 @@
 //!   (re-binning every sample), fold monthly layers into seasonal ones,
 //!   and retire segment detail past a retention horizon while frozen
 //!   per-cell aggregates keep answering composites;
+//! - [`query`] — one definition per query kind (rect, bbox, point,
+//!   time-range, cells): its wire request, scoped store call, owner
+//!   cover, answer decoding, merge and fold, shared by every layer
+//!   below and by [`Catalog::query`];
 //! - [`wire`] / [`server`] / [`client`] — the serve front-end: a framed
 //!   TCP protocol over [`seaice::artifact`] conventions (spec in
 //!   `docs/PROTOCOL.md`), a threaded [`server::CatalogServer`], a
@@ -66,6 +70,7 @@ pub mod compact;
 pub mod fault;
 pub mod grid;
 pub mod lease;
+pub mod query;
 pub mod server;
 pub mod store;
 pub mod tile;
@@ -80,6 +85,7 @@ pub use compact::{compact, CompactionConfig, CompactionReport, LayerMap};
 pub use fault::{ChaosProxy, FaultAction, FaultPlan};
 pub use grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
 pub use lease::{LeaseOptions, LeaseRecord, WriterLease};
+pub use query::{Answer, BboxQuery, CellsQuery, PointQuery, Query, RectQuery, TimeRangeQuery};
 pub use server::{CatalogServer, ServerConfig, ServerStats};
 pub use store::{
     Catalog, CatalogOptions, CatalogSink, CatalogStats, CellSummary, IngestMode, IngestReport,
@@ -156,9 +162,10 @@ pub enum CatalogError {
         last: Box<CatalogError>,
     },
     /// A routed query could not reach any replica for one or more
-    /// scopes. Strict query methods return this typed error; the
-    /// `*_routed` methods instead return a [`client::Routed`] value
-    /// naming the same scopes so callers can use the partial answer.
+    /// scopes. Strict query methods return this typed error;
+    /// [`client::ShardRouter::routed`] instead returns a
+    /// [`client::Routed`] value naming the same scopes so callers can
+    /// use the partial answer.
     Degraded {
         /// The unreachable scopes, in shard-map order.
         missing: Vec<grid::TileScope>,

@@ -15,11 +15,14 @@
 //! (protocol v2, `docs/PROTOCOL.md`). A connection that never
 //! pipelines observes exactly the one-exchange-at-a-time v1 behaviour.
 //!
-//! Summary queries are answered as **per-tile partial** streams, not
-//! pre-folded summaries: the client performs the final fold with the
-//! same code a local query uses ([`crate::QuerySummary::from_partials`]),
-//! which is what makes a query fanned out over shard servers — or
-//! multiplexed over one — bit-identical to the single-process answer.
+//! Every query kind is answered by one generic path over its
+//! [`crate::query`] definition: the kind's scoped store call, then its
+//! answer's frames. Summary queries are answered as **per-tile
+//! partial** streams, not pre-folded summaries: the client performs the
+//! final fold with the same code a local query uses
+//! ([`crate::QuerySummary::from_partials`]), which is what makes a query
+//! fanned out over shard servers — or multiplexed over one —
+//! bit-identical to the single-process answer.
 //!
 //! With [`ServerConfig::allow_writes`], the server also executes
 //! **served writes** ([`crate::wire::Request::IngestSamples`] /
@@ -42,10 +45,12 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use seaice::artifact::{Artifact, ArtifactError};
 use seaice_obs::{Counter, Gauge, Histogram, MetricRegistry, Trace, TraceLog, TraceReport};
 
-use crate::store::Catalog;
+use crate::grid::TileScope;
+use crate::query::{Answer, BboxQuery, CellsQuery, PointQuery, Query, RectQuery, TimeRangeQuery};
+use crate::store::{Catalog, IngestReport};
 use crate::wire::{
-    self, Request, Response, BATCH_RECORDS, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_CATALOG,
-    ERR_DUP_REQUEST, ERR_READ_ONLY,
+    self, Request, Response, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_CATALOG, ERR_DUP_REQUEST,
+    ERR_READ_ONLY,
 };
 use crate::CatalogError;
 
@@ -502,7 +507,7 @@ fn event_loop(
                     if event.is_readable() {
                         touched.push(id);
                         if let Some(conn) = conns.get_mut(&id) {
-                            if let Err(close) = read_ready(conn, shared, counters, config) {
+                            if let Err(close) = read_ready(conn, shared, counters) {
                                 close_conn(&mut poll, &mut conns, id, close, counters);
                                 continue;
                             }
@@ -629,12 +634,7 @@ fn accept_ready(
 /// Drains the socket into the read buffer and extracts every complete
 /// frame: valid frames become worker jobs (or duplicate-id error
 /// frames); frame-level violations close the connection.
-fn read_ready(
-    conn: &mut Conn,
-    shared: &Shared,
-    counters: &Counters,
-    config: ServerConfig,
-) -> Result<(), Close> {
+fn read_ready(conn: &mut Conn, shared: &Shared, counters: &Counters) -> Result<(), Close> {
     let mut chunk = [0u8; READ_CHUNK];
     let mut saw_eof = false;
     loop {
@@ -687,11 +687,10 @@ fn read_ready(
     }
     // EOF after a partial frame is a truncation; either way the peer
     // is gone. In-flight requests keep running — their frames go to a
-    // dead connection and are discarded (`_ = config`-independent).
+    // dead connection and are discarded.
     if saw_eof {
         return Err(Close::Clean);
     }
-    let _ = config;
     Ok(())
 }
 
@@ -854,7 +853,13 @@ fn handle_job(
     counters.requests_by_kind[kind].inc();
     // A non-zero frame trace id asks for a server-side breakdown.
     let trace = (job.trace_id != 0).then(|| Trace::new(job.trace_id));
-    let outcome = respond(catalog, &sink, request, counters, &trace, config);
+    let responder = Responder {
+        catalog,
+        sink: &sink,
+        counters,
+        trace: &trace,
+    };
+    let outcome = respond(&responder, request, config);
     // Observations land *before* the terminal frame is released: a
     // client that has seen its exchange complete can never scrape a
     // registry that has not counted it yet.
@@ -930,192 +935,124 @@ impl FrameSink<'_> {
     }
 }
 
+/// What answering one request needs: the catalog it reads, the sink
+/// its frames go to, the server's counters, and its trace (when the
+/// request frame carried a non-zero trace id, each phase records a
+/// span into it).
+struct Responder<'a> {
+    catalog: &'a Catalog,
+    sink: &'a FrameSink<'a>,
+    counters: &'a Counters,
+    trace: &'a Option<Trace>,
+}
+
+impl Responder<'_> {
+    fn span(&self, name: &'static str) -> Option<seaice_obs::SpanGuard> {
+        self.trace.as_ref().map(|t| t.span(name))
+    }
+
+    /// Sends an error frame (counted in `server_errors_total`).
+    fn error(&self, code: u16, message: String) -> Result<(), CatalogError> {
+        self.counters.errors.inc();
+        self.sink.send(&Response::Error { code, message })
+    }
+
+    /// Sends `answered`, or turns a catalog-side failure into an
+    /// `ERR_CATALOG` error frame; the connection survives either way.
+    fn answer(&self, answered: Result<Response, CatalogError>) -> Result<(), CatalogError> {
+        match answered {
+            Ok(response) => self.sink.send(&response),
+            Err(e) => self.error(ERR_CATALOG, e.to_string()),
+        }
+    }
+
+    /// Answers one query: its scoped store call under a `"query"` span,
+    /// then its response frames under a `"stream"` span. Streamed
+    /// answers go out as batch frames, each queued as its own frame so
+    /// batches of concurrently streaming requests interleave on the wire.
+    fn query<Q: Query>(&self, query: &Q, scope: &TileScope) -> Result<(), CatalogError> {
+        let answered = {
+            let _span = self.span("query");
+            query.scoped(self.catalog, scope)
+        };
+        let answer = match answered {
+            Ok(answer) => answer,
+            Err(e) => return self.answer(Err(e)),
+        };
+        let _span = self.span("stream");
+        let streamed = answer.send(&mut |response| self.sink.send(&response))?;
+        self.counters.records_streamed.add(streamed);
+        Ok(())
+    }
+
+    /// Runs a served write under an `"ingest"` span: the merge runs on
+    /// this worker under the server's catalog handle — and so under its
+    /// writer lease, heartbeating and self-fencing exactly like an
+    /// in-process ingest. A read-only server refuses it typed.
+    fn ingest(
+        &self,
+        allowed: bool,
+        merge: impl FnOnce(&Catalog) -> Result<IngestReport, CatalogError>,
+    ) -> Result<(), CatalogError> {
+        if !allowed {
+            let why = "server does not accept served writes (allow_writes is off)";
+            return self.error(ERR_READ_ONLY, why.into());
+        }
+        let merged = {
+            let _span = self.span("ingest");
+            merge(self.catalog)
+        };
+        self.answer(merged.map(Response::Ingested))
+    }
+}
+
 /// Answers one request. `Err` means the response could not be
 /// delivered (dead connection / encode failure); catalog-side failures
-/// become error frames and keep the connection alive. When `trace` is
-/// set (the request frame carried a non-zero trace id), the query and
-/// streaming phases record spans into it.
-fn respond(
-    catalog: &Catalog,
-    sink: &FrameSink<'_>,
-    request: Request,
-    counters: &Counters,
-    trace: &Option<Trace>,
-    config: ServerConfig,
-) -> Result<(), CatalogError> {
-    /// Streams `records` as batch frames + a `Done` trailer. Chunking
-    /// honours both the record cap and the per-frame byte budget, so no
-    /// batch can ever hit the frame cap and poison the connection.
-    /// Batches are carved off by moving (no per-record clone); the
-    /// ranges tile the records front to back. Each batch is queued as
-    /// its own frame, which is what lets batches of concurrently
-    /// streaming requests interleave on the wire.
-    fn stream_batches<T: seaice::artifact::Codec>(
-        sink: &FrameSink<'_>,
-        counters: &Counters,
-        trace: &Option<Trace>,
-        records: Vec<T>,
-        make: impl Fn(Vec<T>) -> Response,
-    ) -> Result<(), CatalogError> {
-        let _span = trace.as_ref().map(|t| t.span("stream"));
-        let total = records.len() as u64;
-        let ranges = wire::batch_ranges(&records, BATCH_RECORDS, wire::MAX_BATCH_BYTES);
-        let mut records = records;
-        for range in ranges {
-            let rest = records.split_off(range.len());
-            let batch = std::mem::replace(&mut records, rest);
-            sink.send(&make(batch))?;
-        }
-        counters.records_streamed.add(total);
-        sink.send(&Response::Done { n_records: total })
-    }
-
-    /// Converts a catalog-side failure into an error frame.
-    fn fail(
-        sink: &FrameSink<'_>,
-        counters: &Counters,
-        e: CatalogError,
-    ) -> Result<(), CatalogError> {
-        counters.errors.inc();
-        sink.send(&Response::Error {
-            code: ERR_CATALOG,
-            message: e.to_string(),
-        })
-    }
-
-    /// Opens a `"query"` span for the catalog-access phase.
-    fn query_span(trace: &Option<Trace>) -> Option<seaice_obs::SpanGuard> {
-        trace.as_ref().map(|t| t.span("query"))
-    }
-
-    /// Refuses a write RPC on a read-only server.
-    fn read_only(sink: &FrameSink<'_>, counters: &Counters) -> Result<(), CatalogError> {
-        counters.errors.inc();
-        sink.send(&Response::Error {
-            code: ERR_READ_ONLY,
-            message: "server does not accept served writes (allow_writes is off)".into(),
-        })
-    }
-
+/// become error frames and keep the connection alive.
+fn respond(cx: &Responder<'_>, request: Request, config: ServerConfig) -> Result<(), CatalogError> {
+    let catalog = cx.catalog;
     match request {
-        Request::Manifest => sink.send(&Response::Manifest(*catalog.grid())),
-        Request::QueryRect { rect, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_rect_partials(&rect, time, &scope)
-            };
-            match queried {
-                Ok(partials) => {
-                    stream_batches(sink, counters, trace, partials, Response::TileBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryBbox { bbox, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_bbox_partials(&bbox, time, &scope)
-            };
-            match queried {
-                Ok(partials) => {
-                    stream_batches(sink, counters, trace, partials, Response::TileBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryPoint { point, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_point_scoped(point, time, &scope)
-            };
-            match queried {
-                Ok(cell) => sink.send(&Response::Point(cell)),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryTimeRange { time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_time_range_partials(time, &scope)
-            };
-            match queried {
-                Ok(layers) => {
-                    let records: Vec<(crate::grid::TimeKey, crate::store::TilePartial)> = layers
-                        .into_iter()
-                        .flat_map(|(t, partials)| partials.into_iter().map(move |p| (t, p)))
-                        .collect();
-                    stream_batches(sink, counters, trace, records, Response::LayerBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryCells { rect, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_cells_scoped(&rect, time, &scope)
-            };
-            match queried {
-                Ok(cells) => stream_batches(sink, counters, trace, cells, Response::CellBatch),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
+        Request::Manifest => cx.sink.send(&Response::Manifest(*catalog.grid())),
+        Request::QueryRect { rect, time, scope } => cx.query(&RectQuery { rect, time }, &scope),
+        Request::QueryBbox { bbox, time, scope } => cx.query(&BboxQuery { bbox, time }, &scope),
+        Request::QueryPoint { point, time, scope } => cx.query(&PointQuery { point, time }, &scope),
+        Request::QueryTimeRange { time, scope } => cx.query(&TimeRangeQuery { time }, &scope),
+        Request::QueryCells { rect, time, scope } => cx.query(&CellsQuery { rect, time }, &scope),
         Request::Stats { scope } => {
             let (stats, layers) = catalog.scoped_stats(&scope);
-            sink.send(&Response::Stats { stats, layers })
+            cx.sink.send(&Response::Stats { stats, layers })
         }
-        Request::Validate { scope } => match catalog.validate_scoped(&scope) {
-            Ok(checked) => sink.send(&Response::Done {
-                n_records: checked as u64,
-            }),
-            Err(e) => fail(sink, counters, e),
-        },
+        Request::Validate { scope } => {
+            cx.answer(
+                catalog
+                    .validate_scoped(&scope)
+                    .map(|checked| Response::Done {
+                        n_records: checked as u64,
+                    }),
+            )
+        }
         // No catalog access: a ping must stay cheap and answerable even
         // when the store is busy — it measures the serve path, not the
         // query path.
-        Request::Ping => sink.send(&Response::Pong(counters.snapshot())),
+        Request::Ping => cx.sink.send(&Response::Pong(cx.counters.snapshot())),
         // The full observability snapshot: every metric the catalog and
         // this server registered, plus the recent traced-request
         // breakdowns, as text exposition lines.
         Request::Introspect => {
             let mut text = catalog.expose();
-            counters.trace_log.expose_into(&mut text);
-            sink.send(&Response::Metrics(text))
+            cx.counters.trace_log.expose_into(&mut text);
+            cx.sink.send(&Response::Metrics(text))
         }
-        // Served writes: the merge runs on this worker under the
-        // server's catalog handle — and so under its writer lease,
-        // heartbeating and self-fencing exactly like an in-process
-        // ingest. Lease loss (or any catalog failure) is an ERR_CATALOG
-        // error frame; the connection survives.
         Request::IngestSamples {
             granule_id,
             beam,
             mode,
             product,
-        } => {
-            if !config.allow_writes {
-                return read_only(sink, counters);
-            }
-            let merged = {
-                let _span = trace.as_ref().map(|t| t.span("ingest"));
-                catalog.ingest_beam_with(&granule_id, beam as usize, &product, mode)
-            };
-            match merged {
-                Ok(report) => sink.send(&Response::Ingested(report)),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::IngestThickness { mode, beam } => {
-            if !config.allow_writes {
-                return read_only(sink, counters);
-            }
-            let merged = {
-                let _span = trace.as_ref().map(|t| t.span("ingest"));
-                catalog.ingest_thickness_beam_with(&beam, mode)
-            };
-            match merged {
-                Ok(report) => sink.send(&Response::Ingested(report)),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
+        } => cx.ingest(config.allow_writes, |c| {
+            c.ingest_beam_with(&granule_id, beam as usize, &product, mode)
+        }),
+        Request::IngestThickness { mode, beam } => cx.ingest(config.allow_writes, |c| {
+            c.ingest_thickness_beam_with(&beam, mode)
+        }),
     }
 }

@@ -50,6 +50,9 @@ use sparklite::StageReport;
 
 use crate::cache::{CacheStats, TileCache, TileKey};
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
+use crate::query::{
+    Answer, BboxQuery, CellsQuery, Output, PointQuery, Query, RectQuery, TimeRangeQuery,
+};
 use crate::tile::{CatalogManifest, CellAggregate, LayerLedger, SampleRecord, Tile};
 use crate::CatalogError;
 use seaice::artifact::{ArtifactError, Codec, Reader, Writer};
@@ -1337,6 +1340,12 @@ impl Catalog {
 
     // -- Queries -------------------------------------------------------
 
+    /// Answers any [`Query`] over every tile: its scoped kernel, then its
+    /// fold. The served and routed paths end in the same fold.
+    pub fn query<Q: Query>(&self, query: &Q) -> Result<Output<Q>, CatalogError> {
+        Ok(query.scoped(self, &TileScope::all())?.fold())
+    }
+
     /// Summary of every sample whose projected position falls in `rect`
     /// within the time range.
     pub fn query_rect(
@@ -1344,11 +1353,7 @@ impl Catalog {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_rect_partials(
-            rect,
-            time,
-            &TileScope::all(),
-        )?))
+        self.query(&RectQuery { rect: *rect, time })
     }
 
     /// The per-tile partials behind [`Catalog::query_rect`], restricted
@@ -1374,11 +1379,7 @@ impl Catalog {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_bbox_partials(
-            bbox,
-            time,
-            &TileScope::all(),
-        )?))
+        self.query(&BboxQuery { bbox: *bbox, time })
     }
 
     /// The per-tile partials behind [`Catalog::query_bbox`], restricted
@@ -1405,7 +1406,7 @@ impl Catalog {
         p: GeoPoint,
         time: TimeRange,
     ) -> Result<Option<CellSummary>, CatalogError> {
-        self.query_point_scoped(p, time, &TileScope::all())
+        self.query(&PointQuery { point: p, time })
     }
 
     /// [`Catalog::query_point`] restricted to `scope` (`None` when the
@@ -1447,11 +1448,7 @@ impl Catalog {
         &self,
         time: TimeRange,
     ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        Ok(self
-            .query_time_range_partials(time, &TileScope::all())?
-            .into_iter()
-            .map(|(t, partials)| (t, QuerySummary::from_partials(partials)))
-            .collect())
+        self.query(&TimeRangeQuery { time })
     }
 
     /// The per-layer, per-tile partials behind
@@ -1499,7 +1496,7 @@ impl Catalog {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_scoped(rect, time, &TileScope::all())
+        self.query(&CellsQuery { rect: *rect, time })
     }
 
     /// [`Catalog::query_cells`] restricted to `scope`. Cells of one tile

@@ -155,16 +155,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), CatalogErro
     write_frame_mux(w, payload, 0, 0)
 }
 
-/// Writes one frame carrying `trace_id` with request id 0:
-/// [`write_frame_mux`].
-pub fn write_frame_traced(
-    w: &mut impl Write,
-    payload: &[u8],
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    write_frame_mux(w, payload, 0, trace_id)
-}
-
 /// Encodes one frame (header + payload) into a byte vector — the
 /// building block the event-loop server queues into per-connection
 /// write buffers. Same cap/typed-error contract as [`write_frame_mux`].
@@ -231,15 +221,7 @@ pub fn read_frame_cancellable(
             ))
         }
     }
-    let len = le_u32(&header, 0)? as usize;
-    let expected = le_u64(&header, 4)?;
-    let request_id = le_u64(&header, 12)?;
-    let trace_id = le_u64(&header, 20)?;
-    if len > MAX_FRAME_BYTES {
-        return Err(CatalogError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
+    let len = payload_len(&header)?;
     let mut payload = vec![0u8; len];
     match read_full(r, &mut payload, &mut should_stop)? {
         ReadOutcome::Complete => {}
@@ -248,6 +230,27 @@ pub fn read_frame_cancellable(
             return Err(CatalogError::Protocol("connection closed mid-frame".into()))
         }
     }
+    checked_frame(&header, payload).map(Some)
+}
+
+/// The payload length a frame header declares, refusing hostile
+/// lengths before any payload byte is awaited.
+fn payload_len(header: &[u8]) -> Result<usize, CatalogError> {
+    let len = le_u32(header, 0)? as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(CatalogError::Protocol(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )));
+    }
+    Ok(len)
+}
+
+/// Assembles a frame from its header and payload, verifying the
+/// checksum over the ids and payload.
+fn checked_frame(header: &[u8], payload: Vec<u8>) -> Result<Frame, CatalogError> {
+    let expected = le_u64(header, 4)?;
+    let request_id = le_u64(header, 12)?;
+    let trace_id = le_u64(header, 20)?;
     let got = frame_checksum(request_id, trace_id, &payload);
     if got != expected {
         return Err(CatalogError::Protocol(format!(
@@ -255,11 +258,11 @@ pub fn read_frame_cancellable(
              corrupted stream"
         )));
     }
-    Ok(Some(Frame {
+    Ok(Frame {
         payload,
         request_id,
         trace_id,
-    }))
+    })
 }
 
 /// Extracts one complete frame from the front of an accumulation
@@ -272,20 +275,12 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, CatalogEr
     if buf.len() < 4 {
         return Ok(None);
     }
-    let len = le_u32(buf, 0)? as usize;
     // Reject a hostile length before waiting for bytes that are never
     // coming — the cap check must not need the whole header.
-    if len > MAX_FRAME_BYTES {
-        return Err(CatalogError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
+    let len = payload_len(buf)?;
     if buf.len() < FRAME_HEADER_BYTES + len {
         return Ok(None);
     }
-    let expected = le_u64(buf, 4)?;
-    let request_id = le_u64(buf, 12)?;
-    let trace_id = le_u64(buf, 20)?;
     let payload = buf
         .get(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len)
         .ok_or_else(|| {
@@ -293,21 +288,8 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, CatalogEr
                 "frame buffer shorter than its declared {len}-byte payload"
             ))
         })?;
-    let got = frame_checksum(request_id, trace_id, payload);
-    if got != expected {
-        return Err(CatalogError::Protocol(format!(
-            "frame checksum mismatch (header {expected:#018x}, payload {got:#018x}): \
-             corrupted stream"
-        )));
-    }
-    Ok(Some((
-        Frame {
-            payload: payload.to_vec(),
-            request_id,
-            trace_id,
-        },
-        FRAME_HEADER_BYTES + len,
-    )))
+    let frame = checked_frame(buf, payload.to_vec())?;
+    Ok(Some((frame, FRAME_HEADER_BYTES + len)))
 }
 
 enum ReadOutcome {
@@ -359,16 +341,6 @@ fn read_full(
 /// fail typed, see [`write_frame`]).
 pub fn write_message<M: Artifact>(w: &mut impl Write, message: &M) -> Result<(), CatalogError> {
     write_frame(w, &message.to_bytes())
-}
-
-/// [`write_message`] carrying a trace id in the frame header (request
-/// id 0).
-pub fn write_message_traced<M: Artifact>(
-    w: &mut impl Write,
-    message: &M,
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    write_frame_mux(w, &message.to_bytes(), 0, trace_id)
 }
 
 /// [`write_message`] carrying both a request id and a trace id — the
@@ -929,12 +901,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn requests_roundtrip_through_frames() {
+    /// One request of every kind.
+    fn requests() -> Vec<Request> {
         let scope = TileScope::of(&["0", "31"]).unwrap();
         let rect = MapRect::new(MapPoint::new(-1.0, -2.0), MapPoint::new(3.0, 4.0));
         let time = TimeRange::only(TimeKey::new(2019, 11).unwrap());
-        for request in [
+        vec![
             Request::Manifest,
             Request::QueryRect {
                 rect,
@@ -1000,7 +972,12 @@ mod tests {
                     }],
                 },
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip_through_frames() {
+        for request in requests() {
             roundtrip(&request);
         }
     }
@@ -1071,8 +1048,8 @@ mod tests {
         assert!(try_extract_frame(&corrupt).is_err());
     }
 
-    #[test]
-    fn responses_roundtrip_through_frames() {
+    /// One response of every kind.
+    fn responses() -> Vec<Response> {
         let cell = CellSummary {
             tile: TileId::new(2, 1, 1).unwrap(),
             cell: 17,
@@ -1091,7 +1068,7 @@ mod tests {
                 t_p95_m: 1.9,
             },
         };
-        for response in [
+        vec![
             Response::Manifest(GridConfig::ross_sea()),
             Response::TileBatch(vec![partial(), partial()]),
             Response::LayerBatch(vec![(TimeKey::new(2019, 9).unwrap(), partial())]),
@@ -1136,8 +1113,66 @@ mod tests {
                 n_tiles: 9,
                 n_layers: 1,
             }),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn responses_roundtrip_through_frames() {
+        for response in responses() {
             roundtrip(&response);
+        }
+    }
+
+    /// Exact v3 frames (request id 7, trace id `0x0102030405060708`) of
+    /// [`requests`] then [`responses`], in order. A round trip cannot
+    /// catch an encoding change made on both sides at once; these bytes
+    /// can. A deliberate wire change bumps the message version and
+    /// `docs/PROTOCOL.md` along with them.
+    const GOLDEN_FRAMES: [&str; 24] = [
+        "0700000074c0bd70235a78180700000000000000080706050403020153495251030000",
+        "40000000d3e845e0e0e870a10700000000000000080706050403020153495251030001000000000000f0bf00000000000000c000000000000008400000000000001040e3070be3070b02000000000000000100000030020000003331",
+        "40000000bc73efd83c1bc400070000000000000008070605040302015349525103000200000000008066c000000000008061c000000000008053c000000000008051c0e3070be3070b02000000000000000100000030020000003331",
+        "3000000048ffcc41124d34fd070000000000000008070605040302015349525103000300000000008052c000000000006064c0e3070be3070b02000000000000000100000030020000003331",
+        "20000000aa6eabe402fe18090700000000000000080706050403020153495251030004000001ffff0c02000000000000000100000030020000003331",
+        "4000000057f6b4ca988ee3c50700000000000000080706050403020153495251030005000000000000f0bf00000000000000c000000000000008400000000000001040e3070be3070b02000000000000000100000030020000003331",
+        "1a0000006901bdb512ea1dbd070000000000000008070605040302015349525103000602000000000000000100000030020000003331",
+        "1a000000fc3d452445f9d231070000000000000008070605040302015349525103000702000000000000000100000030020000003331",
+        "07000000dcb2bd70235278180700000000000000080706050403020153495251030008",
+        "070000008fb4bd70235378180700000000000000080706050403020153495251030009",
+        "6200000059c47b98623ec155070000000000000008070605040302015349525103000a1700000032303139313130343139353331315f303530303032313102000000010e0000007769726520726f756e64747269700100000000000000000000000000284000000000009052c000000000007064c0d7a3703d0ad7d33f00",
+        "7c00000023f52e326aede41f070000000000000008070605040302015349525103000b001700000032303139313130343139353331315f3035303030323131020b000000636c696d61746f6c6f67790100000000000000000000000000284000000000009052c000000000007064c0d7a3703d0ad7d33f00b81e85eb51b8be3f7b14ae47e17aa43f333333333333fb3f000000000000e03f",
+        "2200000047ce048ce4e1c03e07000000000000000807060504030201534952530300003c7cd5cc613422c1cc0cd8ae250239c100000000006a2841044000",
+        "f1000000bfa2523642958bcb070000000000000008070605040302015349525303000102000000000000000302000000050000000c00000000000000050000000000000004000000000000000300000000000000090000000000000000000000000002407b14ae47e17a94bf85eb51b81e85e33f0400000000000000060000000000000000000000000023400000000000003e4000000000000048400302000000050000000c00000000000000050000000000000004000000000000000300000000000000090000000000000000000000000002407b14ae47e17a94bf85eb51b81e85e33f0400000000000000060000000000000000000000000023400000000000003e400000000000004840",
+        "83000000c662caa6dd140ece07000000000000000807060504030201534952530300020100000000000000e307090302000000050000000c00000000000000050000000000000004000000000000000300000000000000090000000000000000000000000002407b14ae47e17a94bf85eb51b81e85e33f0400000000000000060000000000000000000000000023400000000000003e400000000000004840",
+        "9400000065e0a81a3598efe40700000000000000080706050403020153495253030003010000000000000002010000000100000011000000000000000000594000000000000069c003000000000000000100000000000000010000000000000001000000000000000200000000000000000000000000e03f00000000000000009a9999999999d93f02000000000000009a9999999999094000000000000029400000000000003440666666666666fe3f",
+        "8d000000e8c2428c99dc1f8807000000000000000807060504030201534952530300040102010000000100000011000000000000000000594000000000000069c003000000000000000100000000000000010000000000000001000000000000000200000000000000000000000000e03f00000000000000009a9999999999d93f02000000000000009a9999999999094000000000000029400000000000003440666666666666fe3f",
+        "08000000823fd8e5ae7c7ceb070000000000000008070605040302015349525303000400",
+        "4d0000003cac79806951dbe3070000000000000008070605040302015349525303000502000000000000000500000000000000d20400000000000041010000000000000a00000000000000030000000000000001000000000000000200000000000000e30709e3070b",
+        "0f0000007a35492053aeb0c907000000000000000807060504030201534952530300062a00000000000000",
+        "110000008f7ad35232f55e000700000000000000080706050403020153495253030007030004000000626f6f6d",
+        "2f000000845e94a592403a02070000000000000008070605040302015349525303000804000000000000006400000000000000881300000000000002000000000000000100000000000000",
+        "36000000cec84b833ed5930107000000000000000807060504030201534952530300092b0000007365727665725f72657175657374735f746f74616c7b6b696e643d2271756572795f72656374227d20370a",
+        "37000000f16451eab19a3d74070000000000000008070605040302015349525303000aa40100000000000003000000000000000000000000000000110000000000000009000000000000000100000000000000",
+    ];
+
+    #[test]
+    fn frames_match_golden_v3_bytes() {
+        let requests = requests()
+            .into_iter()
+            .map(|m| (format!("{m:?}"), m.to_bytes()));
+        let responses = responses()
+            .into_iter()
+            .map(|m| (format!("{m:?}"), m.to_bytes()));
+        let messages: Vec<_> = requests.chain(responses).collect();
+        assert_eq!(
+            messages.len(),
+            GOLDEN_FRAMES.len(),
+            "one golden frame per message"
+        );
+        for ((what, payload), golden) in messages.iter().zip(GOLDEN_FRAMES) {
+            let frame = encode_frame(payload, 7, 0x0102_0304_0506_0708).unwrap();
+            let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{what}");
         }
     }
 

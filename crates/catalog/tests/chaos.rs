@@ -25,9 +25,10 @@ use icesat_scene::SurfaceClass;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::client::partition_product;
 use seaice_catalog::{
-    Catalog, CatalogClient, CatalogError, CatalogOptions, CatalogServer, ChaosProxy, ClientConfig,
-    FaultAction, FaultPlan, GridConfig, QuerySummary, ReplicaSpec, RetryPolicy, RouterConfig,
-    ServerConfig, ShardRouter, TileScope, TimeKey, TimeRange,
+    BboxQuery, Catalog, CatalogClient, CatalogError, CatalogOptions, CatalogServer, CellSummary,
+    CellsQuery, ChaosProxy, ClientConfig, FaultAction, FaultPlan, GridConfig, PointQuery,
+    QuerySummary, RectQuery, ReplicaSpec, RetryPolicy, RouterConfig, ServerConfig, ShardRouter,
+    TileScope, TimeKey, TimeRange, TimeRangeQuery,
 };
 
 fn grid() -> GridConfig {
@@ -115,6 +116,133 @@ fn assert_bits_equal(got: &QuerySummary, want: &QuerySummary, what: &str) {
             "{what}: {field} not bit-identical"
         );
     }
+}
+
+/// Bit-level fingerprint of a composite cell (`==` alone would pass
+/// -0.0 against 0.0).
+fn cell_bits(c: &CellSummary) -> Vec<u64> {
+    let a = &c.agg;
+    let mut bits = vec![
+        c.tile.x as u64,
+        c.tile.y as u64,
+        c.cell as u64,
+        c.center.x.to_bits(),
+        c.center.y.to_bits(),
+        a.n,
+        a.ice_n,
+        a.t_n,
+    ];
+    bits.extend(a.class_counts);
+    bits.extend(
+        [
+            a.ice_sum_m,
+            a.min_freeboard_m,
+            a.max_freeboard_m,
+            a.t_sum_m,
+            a.t_w_sum,
+            a.t_wt_sum,
+            a.t_p95_m,
+        ]
+        .map(f64::to_bits),
+    );
+    bits
+}
+
+/// With the scope `dead` unreachable, every other query kind through
+/// `routed` names that scope, answers with exactly what the live shard
+/// `live` answers in process, and fails `Degraded` in its strict form.
+fn assert_every_kind_degrades(router: &mut ShardRouter, live: &Catalog, dead: &TileScope) {
+    let domain = grid().domain();
+    let time = TimeRange::all();
+    let degraded = |e: CatalogError| {
+        assert!(
+            matches!(&e, CatalogError::Degraded { missing } if missing == &vec![dead.clone()]),
+            "strict form must be Degraded naming the dead scope, got {e}"
+        )
+    };
+
+    let corners = [
+        domain.min,
+        domain.max,
+        MapPoint::new(domain.min.x, domain.max.y),
+        MapPoint::new(domain.max.x, domain.min.y),
+    ]
+    .map(|m| EPSG_3976.inverse(m));
+    let bbox = icesat_geo::BoundingBox {
+        lon_min: corners.iter().map(|g| g.lon).fold(f64::INFINITY, f64::min) - 0.5,
+        lon_max: corners
+            .iter()
+            .map(|g| g.lon)
+            .fold(f64::NEG_INFINITY, f64::max)
+            + 0.5,
+        lat_min: corners.iter().map(|g| g.lat).fold(f64::INFINITY, f64::min) - 0.5,
+        lat_max: corners
+            .iter()
+            .map(|g| g.lat)
+            .fold(f64::NEG_INFINITY, f64::max)
+            + 0.5,
+    };
+    let q = BboxQuery { bbox, time };
+    let routed = router.routed(&q).unwrap();
+    assert_eq!(
+        routed.missing,
+        vec![dead.clone()],
+        "bbox: wrong scope blamed"
+    );
+    let want = live.query_bbox(&bbox, time).unwrap();
+    assert!(want.n_samples > 0, "bbox must see the live scope's samples");
+    assert_bits_equal(&routed.value, &want, "degraded bbox");
+    degraded(router.query(&q).unwrap_err());
+
+    let q = CellsQuery { rect: domain, time };
+    let routed = router.routed(&q).unwrap();
+    assert_eq!(
+        routed.missing,
+        vec![dead.clone()],
+        "cells: wrong scope blamed"
+    );
+    let want = live.query_cells(&domain, time).unwrap();
+    assert!(!want.is_empty(), "cells must see the live scope's cells");
+    assert_eq!(
+        routed.value.iter().map(cell_bits).collect::<Vec<_>>(),
+        want.iter().map(cell_bits).collect::<Vec<_>>(),
+        "degraded cells not bit-identical"
+    );
+    degraded(router.query(&q).unwrap_err());
+
+    // A probe into the dead scope: no live shard owns it, so the
+    // degraded value is the live shard's own (empty) answer.
+    let point = EPSG_3976.inverse(MapPoint::new(-303_000.0, -1_306_000.0));
+    let q = PointQuery { point, time };
+    let routed = router.routed(&q).unwrap();
+    assert_eq!(
+        routed.missing,
+        vec![dead.clone()],
+        "point: wrong scope blamed"
+    );
+    let want = live.query_point(point, time).unwrap();
+    assert_eq!(
+        routed.value.as_ref().map(cell_bits),
+        want.as_ref().map(cell_bits),
+        "degraded point not bit-identical"
+    );
+    degraded(router.query(&q).unwrap_err());
+
+    let q = TimeRangeQuery { time };
+    let routed = router.routed(&q).unwrap();
+    assert_eq!(
+        routed.missing,
+        vec![dead.clone()],
+        "time range: wrong scope blamed"
+    );
+    let want = live.query_time_range(time).unwrap();
+    assert_eq!(want.len(), 2, "both layers live in the north scope");
+    assert_eq!(routed.value.len(), want.len(), "degraded layer count");
+    for ((gt, got), (wt, want)) in routed.value.iter().zip(&want) {
+        assert_eq!(gt, wt, "degraded layer keys");
+        assert_bits_equal(got, want, "degraded time range");
+    }
+    degraded(router.query(&q).unwrap_err());
 }
 
 /// The typed-outcome contract: every error a resilient client may
@@ -337,8 +465,8 @@ fn stalls_time_out_and_corruption_is_detected() {
 
 /// Replica failover: a two-replica scope keeps answering (bit-identical)
 /// when one replica dies; when the whole scope dies the router degrades
-/// *typed* — naming the scope — and the `*_routed` methods still serve
-/// the surviving scope; when the replicas return, the breaker's
+/// *typed* — naming the scope — and `routed` still serves the surviving
+/// scope for every query kind; when the replicas return, the breaker's
 /// half-open probes bring the scope back without reconnecting by hand.
 #[test]
 fn shard_failover_degrades_typed_and_recovers() {
@@ -433,13 +561,19 @@ fn shard_failover_degrades_typed_and_recovers() {
         }
     }
     assert!(saw_degraded, "a dead scope never surfaced as Degraded");
-    let routed = router.query_rect_routed(&domain, TimeRange::all()).unwrap();
+    let routed = router
+        .routed(&RectQuery {
+            rect: domain,
+            time: TimeRange::all(),
+        })
+        .unwrap();
     assert!(!routed.is_complete());
     assert_eq!(routed.missing, vec![scopes[0].clone()]);
     let north_truth = shard_catalogs[1]
         .query_rect(&domain, TimeRange::all())
         .unwrap();
     assert_bits_equal(&routed.value, &north_truth, "degraded north-only");
+    assert_every_kind_degrades(&mut router, &shard_catalogs[1], &scopes[0]);
     // Point probes into the dead scope are typed too.
     let south_probe = EPSG_3976.inverse(MapPoint::new(-303_000.0, -1_306_000.0));
     assert!(matches!(

@@ -1,7 +1,8 @@
 //! Rule `panic_path`: the serve/decode path must never panic.
 //!
 //! docs/PROTOCOL.md §1 requires decode failures to surface as typed
-//! errors; a panic in `server.rs`, `wire.rs`, `client.rs`, or
+//! errors; a panic in `server.rs`, `wire.rs`, `client.rs`, `query.rs`
+//! (the per-kind request, decode and merge code all three share), or
 //! `lease.rs` turns a malformed frame or a lost peer into a dead
 //! worker thread. This rule forbids, in non-`#[cfg(test)]` code of
 //! those files:
@@ -22,10 +23,11 @@ use crate::scan::{match_delim, SourceFile};
 pub const RULE: &str = "panic_path";
 
 /// Files the rule applies to (workspace-relative suffixes).
-const TARGETS: [&str; 4] = [
+const TARGETS: [&str; 5] = [
     "crates/catalog/src/server.rs",
     "crates/catalog/src/wire.rs",
     "crates/catalog/src/client.rs",
+    "crates/catalog/src/query.rs",
     "crates/catalog/src/lease.rs",
 ];
 
