@@ -1444,6 +1444,7 @@ impl Catalog {
     }
 
     /// Per-layer whole-domain summaries over the range, chronological.
+    /// Only layers holding live samples are listed.
     pub fn query_time_range(
         &self,
         time: TimeRange,
@@ -1453,7 +1454,10 @@ impl Catalog {
 
     /// The per-layer, per-tile partials behind
     /// [`Catalog::query_time_range`], restricted to `scope`,
-    /// chronological.
+    /// chronological. A layer with no live sample in `scope` (e.g. every
+    /// sample retired by a compaction retention horizon) has no partials
+    /// and is omitted, exactly as the wire, which streams one record per
+    /// partial, omits it.
     pub fn query_time_range_partials(
         &self,
         time: TimeRange,
@@ -1468,7 +1472,9 @@ impl Catalog {
             if let Some(first) = run.first() {
                 let time = first.time;
                 let partials = self.partials(std::mem::take(run), |_| true)?;
-                out.push((time, partials));
+                if !partials.is_empty() {
+                    out.push((time, partials));
+                }
             }
             Ok(())
         };

@@ -19,8 +19,8 @@ use icesat_scene::SurfaceClass;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::client::{partition_product, partition_thickness};
 use seaice_catalog::{
-    Catalog, CatalogClient, CatalogServer, GridConfig, MapRect, QuerySummary, ShardRouter,
-    ShardSpec, TileScope, TimeKey, TimeRange,
+    compact, Catalog, CatalogClient, CatalogServer, CompactionConfig, GridConfig, MapRect,
+    QuerySummary, ShardRouter, ShardSpec, TileScope, TimeKey, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -434,6 +434,84 @@ fn served_and_sharded_queries_are_bit_identical_to_local() {
     }
     let _ = std::fs::remove_dir_all(&local_dir);
     for dir in &shard_dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A layer whose tiles hold no live sample — here every September
+/// sample retired into frozen base aggregates by a retention compaction —
+/// is left out of time-range answers in process, served and routed
+/// alike: summaries count live samples only, and the wire streams one
+/// record per tile partial, so an empty layer has nothing to carry.
+#[test]
+fn time_range_answers_omit_layers_without_live_samples() {
+    let sept = TimeKey::new(2019, 9).unwrap();
+    let nov = TimeKey::new(2019, 11).unwrap();
+    let batch: Vec<_> = workload()
+        .into_iter()
+        .filter(|(granule, _, _)| !granule.starts_with("201910"))
+        .collect();
+    let retire_sept = CompactionConfig {
+        retention: Some(nov),
+        ..CompactionConfig::rewrite(grid())
+    };
+    // Build each store (the full one, then the two shard partitions),
+    // compact it with the retention horizon, and open the result.
+    let mut dirs = Vec::new();
+    let mut retained = |tag: &str, part: &[(String, usize, FreeboardProduct)]| {
+        let (src, dst) = (
+            temp_dir(&format!("{tag}_src")),
+            temp_dir(&format!("{tag}_dst")),
+        );
+        let catalog = Catalog::create(&src, grid()).unwrap();
+        ingest(&catalog, part);
+        assert_eq!(catalog.layers(), vec![sept, nov], "{tag}: two layers");
+        drop(catalog);
+        compact(&src, &dst, &retire_sept).unwrap();
+        let out = Arc::new(Catalog::open(&dst).unwrap());
+        dirs.extend([src, dst]);
+        out
+    };
+    let local = retained("retain_local", &batch);
+    let [south, north] = partition(&batch);
+    let shards = [retained("retain_s0", &south), retained("retain_s1", &north)];
+
+    let want = local.query_time_range(TimeRange::all()).unwrap();
+    let layers: Vec<TimeKey> = want.iter().map(|(t, _)| *t).collect();
+    assert_eq!(layers, vec![nov], "only the live layer is listed");
+    assert!(want[0].1.n_samples > 0);
+    // Nothing left in the retired layer's own range.
+    assert!(local
+        .query_time_range(TimeRange::only(sept))
+        .unwrap()
+        .is_empty());
+
+    let server = CatalogServer::serve(Arc::clone(&local), "127.0.0.1:0").unwrap();
+    let shard_servers: Vec<CatalogServer> = shards
+        .iter()
+        .map(|c| CatalogServer::serve(Arc::clone(c), "127.0.0.1:0").unwrap())
+        .collect();
+    let mut served = CatalogClient::connect(&server.addr().to_string()).unwrap();
+    let specs: Vec<ShardSpec> = shard_servers
+        .iter()
+        .zip(scopes())
+        .map(|(s, scope)| ShardSpec {
+            addr: s.addr().to_string(),
+            scope,
+        })
+        .collect();
+    let mut router = ShardRouter::connect(&specs).unwrap();
+    for time in [TimeRange::all(), TimeRange::only(sept)] {
+        let want = local.query_time_range(time).unwrap();
+        assert_eq!(served.query_time_range(time).unwrap(), want, "served");
+        assert_eq!(router.query_time_range(time).unwrap(), want, "routed");
+    }
+
+    server.shutdown();
+    for s in shard_servers {
+        s.shutdown();
+    }
+    for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -318,6 +318,43 @@ mod tests {
         assert_eq!(a.model.flat_params(), b.model.flat_params());
     }
 
+    /// FNV-1a over the little-endian bit patterns of `values`.
+    fn fnv_bits(values: impl IntoIterator<Item = u32>) -> String {
+        let h = values
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        format!("{h:016x}")
+    }
+
+    #[test]
+    fn paper_lstm_inference_matches_golden_fingerprint() {
+        // Pins the inference bits of the paper LSTM on 3000 rows (three
+        // predict chunks): logits from one whole-matrix forward, softmax
+        // probabilities, and the chunked argmax. The hex was generated by
+        // the forward that still kept backward caches and dispatched
+        // matmuls to threads; the cache-free forward must reproduce it.
+        let x = synthetic_dataset(3000, 41, true).x;
+        let mut model = paper_lstm(43);
+        let logits = model.forward(&x, false);
+        let proba = model.predict_proba(&x);
+        let classes = model.predict(&x);
+        assert_eq!(
+            fnv_bits(logits.data().iter().map(|v| v.to_bits())),
+            "d09746aec9aa5ca7"
+        );
+        assert_eq!(
+            fnv_bits(proba.data().iter().map(|v| v.to_bits())),
+            "93334ab612e5bf88"
+        );
+        assert_eq!(
+            fnv_bits(classes.iter().map(|&c| c as u32)),
+            "7b43dca3d6999b55"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "does not match architecture")]
     fn dataset_layout_checked() {

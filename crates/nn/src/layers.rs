@@ -1,10 +1,15 @@
 //! Layers: [`Dense`], [`Dropout`], and [`Lstm`] with full BPTT.
 //!
-//! Layers cache whatever the backward pass needs during `forward`, and
-//! *accumulate* parameter gradients in `backward` (callers zero them
-//! between steps). Gradient correctness is enforced by finite-difference
-//! tests at the bottom of this module — the LSTM backward pass in
-//! particular is exactly the kind of code that silently rots without one.
+//! Layers cache whatever the backward pass needs during a *training*
+//! `forward` (`training = true`), and *accumulate* parameter gradients
+//! in `backward` (callers zero them between steps). An inference forward
+//! (`training = false`) keeps nothing: [`Dense`] writes `act(X·W + b)`
+//! straight into the workspace buffer and [`Lstm`] runs its recurrence
+//! in one reusable gate buffer. Both forwards run the same ops in the
+//! same order, so their outputs are bit-identical. Gradient correctness
+//! is enforced by finite-difference tests at the bottom of this module —
+//! the LSTM backward pass in particular is exactly the kind of code that
+//! silently rots without one.
 //!
 //! # Allocation discipline
 //!
@@ -14,8 +19,8 @@
 //! [`Workspace`], while long-lived caches
 //! (activations kept for backward, the LSTM's packed per-sequence
 //! buffers, gradient accumulators) are owned by the layer and resized in
-//! place. After one warmup step nothing in the steady-state training loop
-//! allocates. The workspace-free [`Layer::forward`] / [`Layer::backward`]
+//! place. After one warmup step nothing in the steady-state training or
+//! predict loop allocates. The workspace-free [`Layer::forward`] / [`Layer::backward`]
 //! remain as conveniences for cold paths and tests.
 
 use rand::{Rng, SeedableRng};
@@ -29,8 +34,12 @@ use crate::workspace::Workspace;
 /// shared caches and be moved across worker threads; layers hold plain
 /// data (no interior mutability).
 pub trait Layer: Send + Sync {
-    /// Forward pass; `training` toggles dropout and friends. The returned
-    /// matrix is borrowed from `ws` — give it back when the value dies.
+    /// Forward pass. `training = true` means a backward call will follow:
+    /// it turns on dropout and makes the layer keep its backward caches.
+    /// `training = false` is inference: no dropout, no caches (a
+    /// following [`Layer::backward_ws`] panics), and the same output bits
+    /// as the training forward. The returned matrix is borrowed from `ws`
+    /// — give it back when the value dies.
     fn forward_ws(&mut self, input: &Matrix, training: bool, ws: &mut Workspace) -> Matrix;
     /// Backward pass: given ∂L/∂output, accumulate parameter gradients and
     /// return ∂L/∂input (borrowed from `ws`).
@@ -74,10 +83,10 @@ pub struct Dense {
     act: Activation,
     gw: Matrix,
     gb: Matrix,
-    // Pre-transposed weight cache (out×in), refreshed each forward: the
-    // backward `dx = dpre·Wᵀ` then runs through the vectorisable axpy
-    // matmul kernel instead of a horizontal-reduction dot kernel (which
-    // cannot autovectorise — measured ~5× slower).
+    // Pre-transposed weight cache (out×in), refreshed each training
+    // forward: the backward `dx = dpre·Wᵀ` then runs through the
+    // vectorisable axpy matmul kernel instead of a horizontal-reduction
+    // dot kernel (which cannot autovectorise — measured ~5× slower).
     wt: Matrix,
     cache_input: Matrix,
     cache_pre: Matrix,
@@ -114,19 +123,28 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward_ws(&mut self, input: &Matrix, _training: bool, ws: &mut Workspace) -> Matrix {
-        self.cache_input.copy_from(input);
+    fn forward_ws(&mut self, input: &Matrix, training: bool, ws: &mut Workspace) -> Matrix {
         let mut out = ws.take(input.rows(), self.w.cols());
-        // Fused matmul + bias + activation; `cache_pre` keeps the biased
-        // pre-activations for backward.
-        input.affine_into(&self.w, &self.b, self.act, &mut self.cache_pre, &mut out);
+        self.has_cache = training;
+        if !training {
+            input.affine_into(&self.w, &self.b, self.act, None, &mut out);
+            return out;
+        }
+        self.cache_input.copy_from(input);
+        // `cache_pre` keeps the biased pre-activations for backward.
+        input.affine_into(
+            &self.w,
+            &self.b,
+            self.act,
+            Some(&mut self.cache_pre),
+            &mut out,
+        );
         // Caching the activated output lets backward derive act' from it
         // (σ(1−σ)-style identities) without re-evaluating exp.
         self.cache_out.copy_from(&out);
         // Refresh the packed (pre-transposed) weights while they are hot;
         // W is constant between a forward and its backward.
         self.w.transpose_into(&mut self.wt);
-        self.has_cache = true;
         out
     }
 
@@ -258,8 +276,8 @@ impl Layer for Dropout {
     }
 }
 
-/// Per-timestep cache for BPTT. The input slices live in the layer's
-/// packed `x_stacked` buffer, not here.
+/// Per-timestep cache for BPTT, filled by training forwards only. The
+/// input slices live in the layer's `cache_input` copy, not here.
 struct LstmCache {
     h_prev: Matrix,
     c_prev: Matrix,
@@ -292,10 +310,12 @@ impl LstmCache {
 ///
 /// # Execution model
 ///
-/// The input sequence is packed timestep-major into `x_stacked`
-/// (`seq·batch × input`) once per forward, so the input projection
+/// The flattened input (`batch × seq·input`) is read as the stacked
+/// (`batch·seq × input`) matrix without a copy, so the input projection
 /// `x_t·Wx + b` for **all** timesteps is a single matmul (`zx_stacked`);
-/// the recurrence then only performs the unavoidable per-step `h·Wh`.
+/// the recurrence then only performs the unavoidable per-step `h·Wh`,
+/// in one workspace gate buffer. A training forward also keeps the
+/// input and each step's `h`/`c`/gates for BPTT.
 /// Backward mirrors this: per-step gate gradients are collected into
 /// `dz_stacked` and the input-side gradients (`gwx += Xᵀ·dZ`,
 /// `dX = dZ·Wxᵀ`) are two bulk kernels over the whole sequence. All
@@ -312,7 +332,8 @@ pub struct Lstm {
     gwh: Matrix,
     gb: Matrix,
     // Pre-transposed gate-weight caches (4H×input / 4H×H), refreshed each
-    // forward so every backward matmul runs the vectorisable axpy kernel.
+    // training forward so every backward matmul runs the vectorisable
+    // axpy kernel.
     wxt: Matrix,
     wht: Matrix,
     cache: Vec<LstmCache>,
@@ -320,8 +341,6 @@ pub struct Lstm {
     cache_input: Matrix, // batch × seq·input — also the batch·seq × input
     // stacked view via reshape (row r·seq + t = sample r, step t)
     zx_stacked: Matrix, // batch·seq × 4H = stacked(X)·wx + b
-    h_buf: Matrix,      // running hidden state, batch × H
-    c_buf: Matrix,      // running cell state, batch × H
     dz_stacked: Matrix, // backward: batch·seq × 4H
     dz_t: Matrix,       // backward: per-step gate gradients, batch × 4H
 }
@@ -356,8 +375,6 @@ impl Lstm {
             steps: 0,
             cache_input: Matrix::zeros(0, 0),
             zx_stacked: Matrix::zeros(0, 0),
-            h_buf: Matrix::zeros(0, 0),
-            c_buf: Matrix::zeros(0, 0),
             dz_stacked: Matrix::zeros(0, 0),
             dz_t: Matrix::zeros(0, 0),
         }
@@ -375,7 +392,7 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward_ws(&mut self, input: &Matrix, _training: bool, ws: &mut Workspace) -> Matrix {
+    fn forward_ws(&mut self, input: &Matrix, training: bool, ws: &mut Workspace) -> Matrix {
         assert_eq!(
             input.cols(),
             self.seq_len * self.input,
@@ -383,107 +400,57 @@ impl Layer for Lstm {
         );
         let batch = input.rows();
         let (hid, in_dim, seq, act) = (self.hidden, self.input, self.seq_len, self.act);
-        let h4 = 4 * hid;
-        while self.cache.len() < seq {
-            self.cache.push(LstmCache::empty());
+        if training {
+            while self.cache.len() < seq {
+                self.cache.push(LstmCache::empty());
+            }
+            self.cache_input.copy_from(input);
+            // Refresh the packed gate-weight caches for backward.
+            self.wx.transpose_into(&mut self.wxt);
+            self.wh.transpose_into(&mut self.wht);
         }
-        self.steps = seq;
+        self.steps = if training { seq } else { 0 };
 
         // The flattened sequence (batch × seq·input) *is* the stacked
         // (batch·seq × input) matrix in row-major order — row r·seq + t is
         // sample r at step t — so one reshaped matmul covers every
         // timestep's input projection with zero packing copies.
-        self.cache_input.copy_from(input);
-        self.cache_input
-            .matmul_reshape_into(batch * seq, in_dim, &self.wx, &mut self.zx_stacked);
+        let x = if training { &self.cache_input } else { input };
+        x.matmul_reshape_into(batch * seq, in_dim, &self.wx, &mut self.zx_stacked);
         self.zx_stacked.add_row_broadcast_assign(&self.b);
-        // Refresh the packed gate-weight caches for backward.
-        self.wx.transpose_into(&mut self.wxt);
-        self.wh.transpose_into(&mut self.wht);
 
-        self.h_buf.resize(batch, hid);
-        self.c_buf.resize(batch, hid);
+        // Running state: `h` becomes the output, `c` goes back to `ws`.
+        let mut h = ws.take(batch, hid);
+        let mut c = ws.take(batch, hid);
+        let mut z = ws.take(batch, 4 * hid);
         for t in 0..seq {
-            let cc = &mut self.cache[t];
-            cc.h_prev.copy_from(&self.h_buf);
-            cc.c_prev.copy_from(&self.c_buf);
-            // z_t = h·Wh + zx_t (zx rows are r-major: sample r at row
-            // r·seq + t).
-            self.h_buf.matmul_into(&self.wh, &mut cc.z);
-            {
-                let zxd = self.zx_stacked.data();
-                for (r, zrow) in cc.z.data_mut().chunks_mut(h4).enumerate() {
-                    let zx = &zxd[(r * seq + t) * h4..(r * seq + t + 1) * h4];
-                    for (zv, &xv) in zrow.iter_mut().zip(zx) {
-                        *zv += xv;
-                    }
-                }
+            let mut cache = training.then(|| &mut self.cache[t]);
+            if let Some(cc) = cache.as_mut() {
+                cc.h_prev.copy_from(&h);
+                cc.c_prev.copy_from(&c);
             }
-            // Gate nonlinearities: sigmoid for i/f/o, the cell activation
-            // for g — per-row segment slices keep the loops branch-free
-            // and bounds-check-free.
-            cc.gates.resize(batch, h4);
-            {
-                let LstmCache { z, gates, .. } = cc;
-                for (zrow, grow) in z.data().chunks(h4).zip(gates.data_mut().chunks_mut(h4)) {
-                    let (zi, zrest) = zrow.split_at(hid);
-                    let (zf, zrest) = zrest.split_at(hid);
-                    let (zg, zo) = zrest.split_at(hid);
-                    let (gi, grest) = grow.split_at_mut(hid);
-                    let (gf, grest) = grest.split_at_mut(hid);
-                    let (gg, go) = grest.split_at_mut(hid);
-                    for (g, &z) in gi.iter_mut().zip(zi) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                    for (g, &z) in gf.iter_mut().zip(zf) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                    for (g, &z) in gg.iter_mut().zip(zg) {
-                        *g = act.apply(z);
-                    }
-                    for (g, &z) in go.iter_mut().zip(zo) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                }
+            // z_t = h·Wh + zx_t, then the gate nonlinearities in place.
+            h.matmul_into(&self.wh, &mut z);
+            add_step_input(&mut z, &self.zx_stacked, t, seq);
+            if let Some(cc) = cache.as_mut() {
+                cc.z.copy_from(&z);
             }
-            // c' = f⊙c + i⊙g;  h' = o⊙act(c'). act(c') is cached so the
-            // backward pass can derive act' from it without re-evaluating
-            // exp.
-            cc.c.resize(batch, hid);
-            cc.act_c.resize(batch, hid);
-            let LstmCache {
-                gates, c, act_c, ..
-            } = cc;
-            for ((((grow, crow), acrow), hrow), cprow) in gates
-                .data()
-                .chunks(h4)
-                .zip(c.data_mut().chunks_mut(hid))
-                .zip(act_c.data_mut().chunks_mut(hid))
-                .zip(self.h_buf.data_mut().chunks_mut(hid))
-                .zip(self.c_buf.data_mut().chunks_mut(hid))
-            {
-                let (gi, grest) = grow.split_at(hid);
-                let (gf, grest) = grest.split_at(hid);
-                let (gg, go) = grest.split_at(hid);
-                for (j, (((cv, acv), hv), cpv)) in crow
-                    .iter_mut()
-                    .zip(acrow.iter_mut())
-                    .zip(hrow.iter_mut())
-                    .zip(cprow.iter_mut())
-                    .enumerate()
-                {
-                    let c_new = gf[j] * *cpv + gi[j] * gg[j];
-                    *cv = c_new;
-                    *cpv = c_new;
-                    let a = act.apply(c_new);
-                    *acv = a;
-                    *hv = go[j] * a;
-                }
+            activate_gates(z.data_mut(), hid, act);
+            // c' = f⊙c + i⊙g;  h' = o⊙act(c'). Training keeps act(c') so
+            // backward can derive act' from it without re-evaluating exp.
+            let act_c = cache.as_mut().map(|cc| {
+                cc.gates.copy_from(&z);
+                cc.act_c.resize(batch, hid);
+                cc.act_c.data_mut()
+            });
+            cell_step(z.data(), c.data_mut(), h.data_mut(), act_c, hid, act);
+            if let Some(cc) = cache {
+                cc.c.copy_from(&c);
             }
         }
-        let mut out = ws.take(batch, hid);
-        out.data_mut().copy_from_slice(self.h_buf.data());
-        out
+        ws.give(c);
+        ws.give(z);
+        h
     }
 
     fn backward_ws(&mut self, grad_output: &Matrix, ws: &mut Workspace) -> Matrix {
@@ -602,6 +569,71 @@ impl Layer for Lstm {
     }
 }
 
+/// `z += zx_t`: adds step `t`'s input projection to each row's gate
+/// pre-activations (`zx` rows are r-major: sample r at row r·seq + t).
+fn add_step_input(z: &mut Matrix, zx: &Matrix, t: usize, seq: usize) {
+    let h4 = z.cols();
+    let zxd = zx.data();
+    for (r, zrow) in z.data_mut().chunks_mut(h4).enumerate() {
+        let zx = &zxd[(r * seq + t) * h4..(r * seq + t + 1) * h4];
+        for (zv, &xv) in zrow.iter_mut().zip(zx) {
+            *zv += xv;
+        }
+    }
+}
+
+/// Gate nonlinearities in place over rows laid out `[i | f | g | o]`:
+/// sigmoid for i/f/o, the cell activation for g.
+fn activate_gates(gates: &mut [f32], hid: usize, act: Activation) {
+    for row in gates.chunks_mut(4 * hid) {
+        let (if_, rest) = row.split_at_mut(2 * hid);
+        let (g, o) = rest.split_at_mut(hid);
+        Activation::Sigmoid.apply_inplace(if_);
+        act.apply_inplace(g);
+        Activation::Sigmoid.apply_inplace(o);
+    }
+}
+
+/// One cell update from activated `gates` `[i | f | g | o]`:
+/// `c ← f⊙c + i⊙g`, `h ← o⊙act(c)`. When `act_c` is given it receives
+/// `act(c)` (the backward pass's cache).
+fn cell_step(
+    gates: &[f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    act_c: Option<&mut [f32]>,
+    hid: usize,
+    act: Activation,
+) {
+    for ((grow, crow), hrow) in gates
+        .chunks(4 * hid)
+        .zip(c.chunks_mut(hid))
+        .zip(h.chunks_mut(hid))
+    {
+        let (gi, rest) = grow.split_at(hid);
+        let (gf, rest) = rest.split_at(hid);
+        for ((((cv, hv), &i), &f), &g) in crow
+            .iter_mut()
+            .zip(hrow.iter_mut())
+            .zip(gi)
+            .zip(gf)
+            .zip(rest)
+        {
+            *cv = f * *cv + i * g;
+            *hv = *cv;
+        }
+    }
+    act.apply_inplace(h);
+    if let Some(ac) = act_c {
+        ac.copy_from_slice(h);
+    }
+    for (grow, hrow) in gates.chunks(4 * hid).zip(h.chunks_mut(hid)) {
+        for (hv, &o) in hrow.iter_mut().zip(&grow[3 * hid..]) {
+            *hv *= o; // IEEE products commute: the bits of o·act(c)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,7 +647,7 @@ mod tests {
     fn grad_check<L: Layer>(layer: &mut L, input: &Matrix, tol: f32) {
         // Analytic.
         layer.zero_grads();
-        let out = layer.forward(input, false);
+        let out = layer.forward(input, true);
         let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
         let _ = layer.backward(&ones);
         let analytic: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.data().to_vec()).collect();
@@ -681,7 +713,7 @@ mod tests {
         // Check dL/dx numerically for a tiny dense layer.
         let mut d = Dense::new(2, 2, Activation::Tanh, &mut rng(7));
         let x = Matrix::from_rows(&[vec![0.3, -0.2]]);
-        let out = d.forward(&x, false);
+        let out = d.forward(&x, true);
         let ones = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         d.zero_grads();
         let dx = d.backward(&ones);
@@ -704,10 +736,10 @@ mod tests {
         let mut d = Dense::new(2, 2, Activation::Linear, &mut rng(8));
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let ones = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        d.forward(&x, false);
+        d.forward(&x, true);
         d.backward(&ones);
         let g1 = d.grads()[0].clone();
-        d.forward(&x, false);
+        d.forward(&x, true);
         d.backward(&ones);
         let g2 = d.grads()[0].clone();
         for (a, b) in g1.data().iter().zip(g2.data()) {
@@ -780,7 +812,7 @@ mod tests {
     fn lstm_input_gradient_flows_to_all_timesteps() {
         let mut l = Lstm::new(2, 4, 5, Activation::Tanh, &mut rng(16));
         let x = Matrix::glorot(2, 10, &mut rng(17));
-        l.forward(&x, false);
+        l.forward(&x, true);
         let ones = Matrix::from_vec(2, 4, vec![1.0; 8]);
         let dx = l.backward(&ones);
         assert_eq!(dx.cols(), 10);
@@ -819,8 +851,8 @@ mod tests {
         let mut lstm = Lstm::new(2, 3, 5, Activation::Elu, &mut rng(31));
         let mut dense = Dense::new(3, 3, Activation::Tanh, &mut rng(32));
 
-        let cold_h = lstm.forward_ws(&x, false, &mut ws);
-        let cold_y = dense.forward_ws(&cold_h, false, &mut ws);
+        let cold_h = lstm.forward_ws(&x, true, &mut ws);
+        let cold_y = dense.forward_ws(&cold_h, true, &mut ws);
         lstm.zero_grads();
         dense.zero_grads();
         let cold_gd = dense.backward_ws(&ones, &mut ws);
@@ -834,8 +866,8 @@ mod tests {
             .collect();
 
         for _ in 0..3 {
-            let h = lstm.forward_ws(&x, false, &mut ws);
-            let y = dense.forward_ws(&h, false, &mut ws);
+            let h = lstm.forward_ws(&x, true, &mut ws);
+            let y = dense.forward_ws(&h, true, &mut ws);
             lstm.zero_grads();
             dense.zero_grads();
             let gd = dense.backward_ws(&ones, &mut ws);
@@ -856,6 +888,77 @@ mod tests {
             ws.give(gd);
             ws.give(gl);
         }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Inference (`training = false`) keeps no backward caches but must
+    /// produce the training forward's exact bits; run inference on both
+    /// sides of a training forward so neither leaves state the other
+    /// reads. 2500 rows span three `Sequential::predict` chunks.
+    fn assert_inference_matches_training<L: Layer>(layer: &mut L, x: &Matrix, what: &str) {
+        let mut ws = Workspace::new();
+        let before = layer.forward_ws(x, false, &mut ws);
+        let trained = layer.forward_ws(x, true, &mut ws);
+        let after = layer.forward_ws(x, false, &mut ws);
+        assert!(
+            bits(&before) == bits(&trained),
+            "{what}: inference != training"
+        );
+        assert!(
+            bits(&after) == bits(&trained),
+            "{what}: inference after training"
+        );
+    }
+
+    #[test]
+    fn dense_inference_forward_matches_training_forward_bits() {
+        for (i, act) in [
+            Activation::Elu,
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Linear,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut d = Dense::new(13, 11, act, &mut rng(40 + i as u64));
+            let x = Matrix::glorot(2500, 13, &mut rng(50 + i as u64)).scale(40.0);
+            assert_inference_matches_training(&mut d, &x, &format!("Dense {act:?}"));
+        }
+    }
+
+    #[test]
+    fn lstm_inference_forward_matches_training_forward_bits() {
+        for (i, act) in [Activation::Elu, Activation::Tanh].into_iter().enumerate() {
+            let mut l = Lstm::new(6, 16, 5, act, &mut rng(60 + i as u64));
+            let x = Matrix::glorot(2500, 30, &mut rng(70 + i as u64)).scale(40.0);
+            assert_inference_matches_training(&mut l, &x, &format!("LSTM {act:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn dense_backward_after_inference_forward_panics() {
+        let mut d = Dense::new(3, 2, Activation::Elu, &mut rng(80));
+        let x = Matrix::glorot(4, 3, &mut rng(81));
+        d.forward(&x, true);
+        // An inference forward drops the caches the training one built.
+        d.forward(&x, false);
+        d.backward(&Matrix::from_vec(4, 2, vec![1.0; 8]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn lstm_backward_after_inference_forward_panics() {
+        let mut l = Lstm::new(2, 3, 4, Activation::Elu, &mut rng(82));
+        let x = Matrix::glorot(4, 8, &mut rng(83));
+        l.forward(&x, true);
+        l.forward(&x, false);
+        l.backward(&Matrix::from_vec(4, 3, vec![1.0; 12]));
     }
 
     #[test]

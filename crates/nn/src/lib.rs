@@ -6,10 +6,12 @@
 //! framework, this crate implements the full training stack:
 //!
 //! - [`tensor`] — a row-major `f32` matrix with the linear algebra the
-//!   layers need (rayon-parallel matmul above a size threshold);
+//!   layers need (blocked single-thread kernels; callers parallelise
+//!   across partitions, not inside a matmul);
 //! - [`activation`] — ELU / ReLU / tanh / sigmoid and softmax;
 //! - [`layers`] — [`layers::Dense`], [`layers::Lstm`] (full BPTT), and
-//!   [`layers::Dropout`], all behind the [`layers::Layer`] trait;
+//!   [`layers::Dropout`], all behind the [`layers::Layer`] trait, each
+//!   with a cache-free inference forward;
 //! - [`loss`] — softmax cross-entropy and softmax focal loss with
 //!   analytic gradients (validated by finite differences in tests);
 //! - [`optim`] — Adam and SGD over flattened parameter vectors;

@@ -15,8 +15,10 @@ use crate::workspace::Workspace;
 
 /// Rows per inference chunk in [`Sequential::predict`]: bounds the
 /// intermediate activation footprint on full-track inputs (tens of
-/// thousands of rows) while keeping per-chunk matmuls large enough to
-/// amortise dispatch.
+/// thousands of rows) to a cache-friendly working set (~0.4 MiB for the
+/// widest paper-LSTM layer) while each layer call still covers enough
+/// rows that per-call overhead (workspace `take`, loop set-up) is noise.
+/// Kernels run on the calling thread; chunking adds no dispatch cost.
 const PREDICT_CHUNK: usize = 1024;
 
 /// A feed-forward stack of layers.
@@ -506,6 +508,36 @@ mod tests {
             model.workspace().allocations(),
             warm_allocs,
             "steady-state training loop allocated"
+        );
+        assert_eq!(
+            model.workspace().pooled_floats(),
+            warm_pool,
+            "workspace capacity kept growing"
+        );
+    }
+
+    #[test]
+    fn predict_loop_allocations_stabilise_after_warmup() {
+        // Inference twin of the training test above: once one predict
+        // call has built the working set, 20 more over a multi-chunk
+        // input (2500 rows: two full chunks and a short one) take every
+        // buffer from the pool.
+        let (x, _) = toy_data(2500, 27);
+        let mut model = Sequential::new()
+            .add(Lstm::new(1, 6, 2, Activation::Elu, &mut rng(28)))
+            .add(Dropout::new(0.2, 7))
+            .add(Dense::new(6, 8, Activation::Elu, &mut rng(29)))
+            .add(Dense::new(8, 2, Activation::Linear, &mut rng(30)));
+        let warm_preds = model.predict(&x);
+        let warm_allocs = model.workspace().allocations();
+        let warm_pool = model.workspace().pooled_floats();
+        for _ in 0..20 {
+            assert_eq!(model.predict(&x), warm_preds);
+        }
+        assert_eq!(
+            model.workspace().allocations(),
+            warm_allocs,
+            "steady-state predict loop allocated"
         );
         assert_eq!(
             model.workspace().pooled_floats(),

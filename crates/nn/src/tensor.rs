@@ -15,28 +15,29 @@
 //! # Kernels
 //!
 //! - [`Matrix::matmul_into`] — `C = A·B`, k-tiled (`KC`-sized panels of B
-//!   stay cache-resident across a block of output rows) and row-parallel
-//!   over rayon above a flop threshold. Accumulation order over `k` is
-//!   ascending for every output element regardless of tiling or thread
-//!   count, so all paths produce identical bits.
-//! - [`Matrix::matmul_transb_into`] — `C = A·Bᵀ` as row-dot-row products.
-//!   This is the pre-transposed weight access pattern: `B` (a layer's
-//!   row-major weight matrix) is read along its rows, so the backward
-//!   pass needs no materialised transpose and no packed copy.
+//!   stay cache-resident across a block of output rows) and 4-row
+//!   register-blocked. Accumulation order over `k` is ascending for every
+//!   output element regardless of tiling, so it produces the naive triple
+//!   loop's bits.
+//! - [`Matrix::matmul_transb_into`] — `C = A·Bᵀ` as row-dot-row products,
+//!   for one-shot products. The backward pass instead multiplies by
+//!   pre-transposed weight caches through [`Matrix::matmul_into`], since
+//!   the row-dot-row reduction does not vectorise.
 //! - [`Matrix::matmul_transa_acc`] — `C += Aᵀ·B` as a sequence of rank-1
 //!   updates (ascending sample index), the gradient-accumulation kernel.
-//! - [`Matrix::affine_into`] — fused `pre = X·W + b`, `out = act(pre)` in
-//!   one pass (the whole Dense forward).
+//! - [`Matrix::affine_into`] — `out = act(X·W + b)` (the whole Dense
+//!   forward), optionally keeping the biased pre-activations for backward.
+//!
+//! Every kernel runs on the calling thread. The model sizes here are small
+//! (~25k multiply-adds per row for the paper LSTM), so a kernel call is
+//! microseconds and a per-call thread fan-out costs more than it saves;
+//! parallelism lives one level up, one inference task per (granule, beam)
+//! partition.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
-
-/// Flop threshold above which matmul kernels dispatch row blocks to
-/// rayon. Batches in this project are small (32), so training matmuls
-/// stay serial; full-track inference (thousands of rows) parallelises.
-const PAR_WORK: usize = 1 << 18;
 
 /// k-dimension tile: a `KC × n` panel of B stays cache-resident while a
 /// block of output rows accumulates against it.
@@ -44,22 +45,23 @@ const KC: usize = 256;
 
 /// `out = a·b` over raw row-major slices (`m×k · k×n`), k-tiled and
 /// 4-row register-blocked (one B-row load feeds four output rows, which
-/// is what keeps the axpy kernel from being load/store-bound). `row0` is
-/// the global row offset of `out_blk` (for the rayon path). Per output
+/// is what keeps the axpy kernel from being load/store-bound). Per output
 /// element the accumulation stays a single ascending-`k` chain, so the
-/// blocked kernel is bit-identical to the naive triple loop.
-fn gemm_serial(a: &[f32], b: &[f32], out_blk: &mut [f32], row0: usize, k: usize, n: usize) {
-    let m_blk = out_blk.len().checked_div(n).unwrap_or(0);
+/// blocked kernel is bit-identical to the naive triple loop. `out` must
+/// be zeroed.
+fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
     for k0 in (0..k).step_by(KC) {
         let k1 = (k0 + KC).min(k);
-        let mut ri = 0;
-        while ri + 4 <= m_blk {
-            let r = row0 + ri;
+        let mut r = 0;
+        while r + 4 <= m {
             let a0 = &a[r * k + k0..r * k + k1];
             let a1 = &a[(r + 1) * k + k0..(r + 1) * k + k1];
             let a2 = &a[(r + 2) * k + k0..(r + 2) * k + k1];
             let a3 = &a[(r + 3) * k + k0..(r + 3) * k + k1];
-            let rows = &mut out_blk[ri * n..(ri + 4) * n];
+            let rows = &mut out[r * n..(r + 4) * n];
             let (c0, rest) = rows.split_at_mut(n);
             let (c1, rest) = rest.split_at_mut(n);
             let (c2, c3) = rest.split_at_mut(n);
@@ -82,12 +84,11 @@ fn gemm_serial(a: &[f32], b: &[f32], out_blk: &mut [f32], row0: usize, k: usize,
                     *o3 += v3 * bv;
                 }
             }
-            ri += 4;
+            r += 4;
         }
-        while ri < m_blk {
-            let r = row0 + ri;
+        while r < m {
             let a_row = &a[r * k + k0..r * k + k1];
-            let out_row = &mut out_blk[ri * n..(ri + 1) * n];
+            let out_row = &mut out[r * n..(r + 1) * n];
             for (kk, &av) in a_row.iter().enumerate() {
                 if av == 0.0 {
                     continue;
@@ -97,27 +98,8 @@ fn gemm_serial(a: &[f32], b: &[f32], out_blk: &mut [f32], row0: usize, k: usize,
                     *o += av * bv;
                 }
             }
-            ri += 1;
+            r += 1;
         }
-    }
-}
-
-/// `out = a·b` with the parallel/serial dispatch. `out` must be zeroed.
-fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m * k * n >= PAR_WORK && m > 1 {
-        use rayon::prelude::*;
-        let nt = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        let rows_per = m.div_ceil(nt).max(1);
-        out.par_chunks_mut(rows_per * n)
-            .enumerate()
-            .for_each(|(blk, out_blk)| gemm_serial(a, b, out_blk, blk * rows_per, k, n));
-    } else {
-        gemm_serial(a, b, out, 0, k, n);
     }
 }
 
@@ -349,24 +331,16 @@ impl Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         out.resize(m, n);
-        let a = &self.data;
-        let b = &other.data;
-        let body = |(r, out_row): (usize, &mut [f32])| {
-            let a_row = &a[r * k..(r + 1) * k];
+        for (r, out_row) in out.data.chunks_mut(n).enumerate() {
+            let a_row = &self.data[r * k..(r + 1) * k];
             for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
+                let b_row = &other.data[j * k..(j + 1) * k];
                 let mut s = 0.0f32;
                 for (&av, &bv) in a_row.iter().zip(b_row) {
                     s += av * bv;
                 }
                 *o = s;
             }
-        };
-        if m * k * n >= PAR_WORK && m > 1 {
-            use rayon::prelude::*;
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
         }
     }
 
@@ -390,28 +364,26 @@ impl Matrix {
         );
     }
 
-    /// Fused dense forward: `pre = self·w + bias` (broadcast) and
-    /// `out = act(pre)` in one pass. `pre` keeps the biased
-    /// pre-activations the backward pass needs.
+    /// Dense forward: `out = act(self·w + bias)` (bias broadcast over
+    /// rows), computed in `out`. With `pre`, the biased pre-activations
+    /// the backward pass needs are copied there before the activation;
+    /// inference passes `None` and keeps nothing.
     pub fn affine_into(
         &self,
         w: &Matrix,
         bias: &Matrix,
         act: Activation,
-        pre: &mut Matrix,
+        pre: Option<&mut Matrix>,
         out: &mut Matrix,
     ) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "bias width mismatch");
-        self.matmul_into(w, pre);
-        out.resize(pre.rows, pre.cols);
-        let n = pre.cols;
-        for (pre_row, out_row) in pre.data.chunks_mut(n).zip(out.data.chunks_mut(n)) {
-            for ((p, o), &bv) in pre_row.iter_mut().zip(out_row).zip(&bias.data) {
-                *p += bv;
-                *o = act.apply(*p);
-            }
+        self.matmul_into(w, out);
+        out.add_row_broadcast_assign(bias);
+        if let Some(pre) = pre {
+            pre.copy_from(out);
         }
+        act.apply_inplace(&mut out.data);
     }
 
     /// Transpose (allocating wrapper over [`Matrix::transpose_into`]).
@@ -593,15 +565,16 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_serial() {
-        // Big enough to cross the rayon threshold.
+    fn matmul_large_shape_matches_naive_oracle() {
+        // A product at the scale of one inference chunk's widest layer
+        // (80*70*60 = 336k multiply-adds).
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let a = Matrix::glorot(80, 70, &mut rng);
         let b = Matrix::glorot(70, 60, &mut rng);
-        let big = a.matmul(&b); // 80*70*60 = 336k > 2^18
+        let big = a.matmul(&b);
         let refc = naive_matmul(&a, &b);
-        // Ascending-k accumulation at any tiling/thread count: identical
-        // bits, not merely close.
+        // Ascending-k accumulation at any tiling or row blocking:
+        // identical bits, not merely close.
         assert_eq!(big, refc);
     }
 
@@ -653,11 +626,15 @@ mod tests {
         for act in [Activation::Elu, Activation::Relu, Activation::Linear] {
             let mut pre = Matrix::zeros(0, 0);
             let mut out = Matrix::zeros(0, 0);
-            x.affine_into(&w, &b, act, &mut pre, &mut out);
+            x.affine_into(&w, &b, act, Some(&mut pre), &mut out);
             let ref_pre = x.matmul(&w).add_row_broadcast(&b);
             let ref_out = ref_pre.map(|v| act.apply(v));
             assert_eq!(pre, ref_pre, "{act:?} pre-activations");
             assert_eq!(out, ref_out, "{act:?} outputs");
+            // Without `pre` (inference) the outputs are the same bits.
+            let mut bare = Matrix::zeros(0, 0);
+            x.affine_into(&w, &b, act, None, &mut bare);
+            assert_eq!(bare, ref_out, "{act:?} outputs without pre");
         }
     }
 
@@ -811,8 +788,9 @@ mod tests {
             }
 
             /// The production kernels equal the naive oracle bit-for-bit
-            /// across arbitrary shapes, including k/n beyond one tile and
-            /// shapes crossing the rayon threshold.
+            /// across arbitrary shapes, including k beyond one `KC` tile,
+            /// row counts off the 4-row block, and products up to ~450k
+            /// multiply-adds (larger than any one inference-chunk layer).
             #[test]
             fn kernels_match_naive_oracle(seed in 0u64..50, m in 1usize..40, k in 1usize..300, n in 1usize..40) {
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);

@@ -4,6 +4,13 @@
 //! allocates; a `vec![...]` or `.collect()` slipped into one of them
 //! silently un-does the 3–29× wins pinned in BENCH_2.json while every
 //! oracle test keeps passing.
+//!
+//! The same kernels run once per inference chunk, so they must not fan
+//! out to threads either: a `par_chunks_mut` / `into_par_iter` (the
+//! offline rayon shim spawns fresh OS threads on every call) or a
+//! `thread::spawn` / `thread::scope` costs more per call than a kernel
+//! over one chunk does. Parallelism belongs to the caller (one task per
+//! partition), not to the kernel.
 
 use crate::report::Finding;
 use crate::scan::SourceFile;
@@ -15,12 +22,17 @@ const SUFFIXES: [&str; 3] = ["_into", "_ws", "_inplace"];
 
 /// Allocating method calls (must be `.name(` calls).
 const ALLOC_METHODS: [&str; 5] = ["collect", "to_vec", "clone", "to_string", "to_owned"];
-/// Allocating constructors (must be `Path::name(` calls).
-const ALLOC_CTORS: [(&str, &str); 4] = [
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Box", "new"),
-    ("String", "new"),
+/// Thread-dispatching method calls (must be `.name(` calls).
+const DISPATCH_METHODS: [&str; 2] = ["par_chunks_mut", "into_par_iter"];
+/// Allocating constructors and thread-spawning functions (must be
+/// `Path::name(` calls), with what each one does.
+const PATH_CALLS: [(&str, &str, &str); 6] = [
+    ("Vec", "new", ""),
+    ("Vec", "with_capacity", ""),
+    ("Box", "new", ""),
+    ("String", "new", ""),
+    ("thread", "spawn", " thread dispatch"),
+    ("thread", "scope", " thread dispatch"),
 ];
 /// Allocating macros (`name!(...)`).
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
@@ -61,20 +73,28 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                         f.line_text(line),
                     ));
                 };
-                if ALLOC_METHODS.contains(&name) && super::method_call_arity(toks, i).is_some() {
+                let method = super::method_call_arity(toks, i).is_some();
+                // `Vec::new(` — ident `Vec` `:` `:` ident `(`.
+                let path_is = |ty: &str| {
+                    i >= 3
+                        && toks[i - 1].is_punct(':')
+                        && toks[i - 2].is_punct(':')
+                        && toks[i - 3].is_ident(ty)
+                };
+                if method && ALLOC_METHODS.contains(&name) {
                     flag(&format!("`.{name}()`"), &mut out);
+                } else if method && DISPATCH_METHODS.contains(&name) {
+                    flag(&format!("`.{name}()` thread dispatch"), &mut out);
                 } else if ALLOC_MACROS.contains(&name)
                     && matches!(toks.get(i + 1), Some(t) if t.is_punct('!'))
                 {
                     flag(&format!("`{name}!`"), &mut out);
-                } else if let Some((ty, ctor)) = ALLOC_CTORS.iter().find(|(_, c)| *c == name) {
-                    // `Vec::new(` — ident `Vec` `:` `:` ident `(`.
-                    let is_path = i >= 3
-                        && toks[i - 1].is_punct(':')
-                        && toks[i - 2].is_punct(':')
-                        && toks[i - 3].is_ident(ty);
-                    if is_path && super::is_call(toks, i) {
-                        flag(&format!("`{ty}::{ctor}()`"), &mut out);
+                } else if let Some((ty, f, kind)) = PATH_CALLS
+                    .iter()
+                    .find(|(ty, f, _)| *f == name && path_is(ty))
+                {
+                    if super::is_call(toks, i) {
+                        flag(&format!("`{ty}::{f}()`{kind}"), &mut out);
                     }
                 }
             }
@@ -117,6 +137,24 @@ mod tests {
         let fs =
             run("fn forward_ws(&self) { x.clone(); }\nfn map_inplace(&mut self) { y.to_vec(); }");
         assert_eq!(fs.len(), 2);
+    }
+
+    #[test]
+    fn flags_thread_dispatch_in_kernels() {
+        // A rayon fan-out on every kernel call, e.g. a row-parallel matmul.
+        let fs = run("fn gemm_into(out: &mut [f32]) { out.par_chunks_mut(8).enumerate().for_each(|(i, c)| body(i, c)); }\n\
+             fn map_inplace(&mut self) { (0..4).into_par_iter().map(f).count(); }\n\
+             fn forward_ws(&mut self) { std::thread::scope(|s| { s.spawn(work); }); thread::spawn(work); }");
+        assert_eq!(fs.len(), 4, "{fs:?}");
+        assert!(fs.iter().all(|f| f.message.contains("thread dispatch")));
+        // Outside a kernel, dispatch is the caller's business.
+        assert!(run("fn classify_run() { rows.par_chunks_mut(8).for_each(f); }").is_empty());
+    }
+
+    #[test]
+    fn box_and_string_constructors_are_flagged() {
+        let fs = run("fn fill_into(&mut self) { let b = Box::new(1); let s = String::new(); }");
+        assert_eq!(fs.len(), 2, "{fs:?}");
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! `usize` ranges with **real threads** (`std::thread::scope`), splitting
 //! work into contiguous blocks and concatenating results in input order —
 //! so, like rayon, output is identical at any thread count.
+//!
+//! Unlike rayon there is no persistent pool: **every call spawns fresh
+//! OS threads** and joins them before returning. That suits coarse work
+//! (a granule's projections, a compaction's tiles) but not per-chunk hot
+//! paths: a kernel that runs in microseconds pays more for the spawns
+//! than it gains. The `sanity` rule `hot_alloc` flags dispatch inside
+//! the `_into`/`_ws`/`_inplace` kernels of `crates/nn` and `crates/core`.
 
 use std::ops::Range;
 
